@@ -82,13 +82,13 @@ BaselineResult ShotDecompose(const SparseTensor& x,
   DenseTensor core(options.core_dims);
   double previous_error = std::numeric_limits<double>::infinity();
 
-  // Per-entry reconstruction error through the tiled δ-engine
+  // Per-entry reconstruction error through the mode-major δ-engine
   // (docs/architecture.md): the dense core makes |G| = Π Jn, where the
   // grouped scan pays the most, and the metric path tiles entries through
   // ReconstructBatch so each core group's value/column stream is read
-  // once per tile instead of once per entry. The tiled kernel is
-  // bit-identical to the mode-major per-entry scan at every tile width,
-  // so the error trajectory is unchanged from the per-entry flow. The
+  // once per tile instead of once per entry. The tile kernels are
+  // bit-identical to the per-entry scan at every tile width, so the
+  // error trajectory is unchanged from the per-entry flow. The
   // core is recomputed from scratch every iteration (its sparsity pattern
   // may change), so the engine cannot be kept alive across iterations via
   // the mutation hooks; a fresh build is Θ(N·|G|) and cheap next to the
@@ -97,11 +97,9 @@ BaselineResult ShotDecompose(const SparseTensor& x,
   // S-HOT was published, and an error metric must not trip the budget.
   const auto model_error = [&]() {
     const CoreEntryList core_list(core);
-    // Widest tile: the dense core amortizes the per-tile row pack best,
-    // and kMaxTile (unlike the solver default) clears the kernel's SIMD
-    // threshold.
-    const TiledDeltaEngine engine(core_list, factors, nullptr,
-                                  TiledDeltaEngine::kMaxTile);
+    // Widest tile: the dense core amortizes the per-tile row pack best.
+    const ModeMajorDeltaEngine engine(core_list, factors, nullptr,
+                                      ModeMajorDeltaEngine::kMaxTile);
     return ReconstructionError(x, engine);
   };
 

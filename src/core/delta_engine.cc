@@ -118,21 +118,32 @@ void NaiveDeltaEngine::ComputeDelta(std::int64_t /*entry*/,
 
 ModeMajorDeltaEngine::ModeMajorDeltaEngine(const CoreEntryList& core,
                                            const std::vector<Matrix>& factors,
-                                           MemoryTracker* tracker)
-    : ModeMajorDeltaEngine(core, MakeFactorViews(factors), tracker) {}
+                                           MemoryTracker* tracker,
+                                           std::int64_t tile_width,
+                                           double epsilon)
+    : ModeMajorDeltaEngine(core, MakeFactorViews(factors), tracker,
+                           tile_width, epsilon) {}
 
 ModeMajorDeltaEngine::ModeMajorDeltaEngine(const CoreEntryList& core,
                                            std::vector<FactorView> factors,
-                                           MemoryTracker* tracker)
-    : DeltaEngine(core, std::move(factors)), tracker_(tracker) {
+                                           MemoryTracker* tracker,
+                                           std::int64_t tile_width,
+                                           double epsilon)
+    : DeltaEngine(core, std::move(factors)),
+      tracker_(tracker),
+      tile_(std::min<std::int64_t>(tile_width, kMaxTile)),
+      epsilon_(epsilon) {
   PTUCKER_CHECK(core.order() >= 1 && core.order() <= kMaxOrder);
   PTUCKER_CHECK(static_cast<std::int64_t>(this->factors().size()) ==
                 core.order());
+  PTUCKER_CHECK(tile_width >= 1);
+  PTUCKER_CHECK(epsilon >= 0.0 && epsilon < 1.0);
   // Charge before allocating, like the cache table, so an over-budget
   // engine fails as OutOfMemoryBudget without building anything.
   charged_bytes_ = ExpectedBytes();
   if (tracker_ != nullptr) tracker_->Charge(charged_bytes_);
   BuildViews();
+  RecomputeSkips();
 }
 
 ModeMajorDeltaEngine::~ModeMajorDeltaEngine() {
@@ -268,7 +279,7 @@ void ModeMajorDeltaEngine::ComputeDelta(std::int64_t /*entry*/,
                                         const std::int64_t* entry_index,
                                         std::int64_t mode,
                                         double* delta) const {
-  ComputeDeltaGrouped(entry_index, mode, /*skip=*/nullptr, delta);
+  ComputeDeltaGrouped(entry_index, mode, Skips(mode), delta);
 }
 
 void ModeMajorDeltaEngine::ComputeDeltaGrouped(const std::int64_t* entry_index,
@@ -413,6 +424,7 @@ void ModeMajorDeltaEngine::OnCoreValuesChanged() {
       view.values[t] = list.value(view.list_pos[t]);
     }
   }
+  RecomputeSkips();
 }
 
 void ModeMajorDeltaEngine::OnCoreEntriesRemoved(
@@ -467,29 +479,16 @@ void ModeMajorDeltaEngine::OnCoreEntriesRemoved(
     tracker_->Release(charged_bytes_ - new_bytes);
   }
   charged_bytes_ = new_bytes;
-}
-
-// ---------------------------------------------------------------------------
-// AdaptiveDeltaEngine
-// ---------------------------------------------------------------------------
-
-AdaptiveDeltaEngine::AdaptiveDeltaEngine(const CoreEntryList& core,
-                                         const std::vector<Matrix>& factors,
-                                         MemoryTracker* tracker,
-                                         double epsilon)
-    : AdaptiveDeltaEngine(core, MakeFactorViews(factors), tracker, epsilon) {}
-
-AdaptiveDeltaEngine::AdaptiveDeltaEngine(const CoreEntryList& core,
-                                         std::vector<FactorView> factors,
-                                         MemoryTracker* tracker,
-                                         double epsilon)
-    : ModeMajorDeltaEngine(core, std::move(factors), tracker),
-      epsilon_(epsilon) {
-  PTUCKER_CHECK(epsilon >= 0.0 && epsilon < 1.0);
   RecomputeSkips();
 }
 
-void AdaptiveDeltaEngine::RecomputeSkips() {
+// ---------------------------------------------------------------------------
+// Group skip (ε)
+// ---------------------------------------------------------------------------
+
+void ModeMajorDeltaEngine::RecomputeSkips() {
+  skip_.clear();
+  if (epsilon_ == 0.0) return;  // exact: the kernels get no flags at all
   const std::int64_t order = core().order();
   skip_.assign(static_cast<std::size_t>(order), {});
   for (std::int64_t n = 0; n < order; ++n) {
@@ -510,9 +509,7 @@ void AdaptiveDeltaEngine::RecomputeSkips() {
 
     // Greedy smallest-weight-first (index tie-break keeps the selection
     // deterministic): skip groups while their cumulative magnitude stays
-    // within the ε fraction of the view's total. At ε = 0 only empty /
-    // zero-weight groups qualify, whose δ component is an exact 0 anyway —
-    // hence bit-identity with the mode-major engine.
+    // within the ε fraction of the view's total.
     std::vector<std::int64_t> by_weight(static_cast<std::size_t>(rank));
     std::iota(by_weight.begin(), by_weight.end(), 0);
     std::sort(by_weight.begin(), by_weight.end(),
@@ -534,50 +531,22 @@ void AdaptiveDeltaEngine::RecomputeSkips() {
   }
 }
 
-void AdaptiveDeltaEngine::ComputeDelta(std::int64_t /*entry*/,
-                                       const std::int64_t* entry_index,
-                                       std::int64_t mode,
-                                       double* delta) const {
-  ComputeDeltaGrouped(entry_index, mode,
-                      skip_[static_cast<std::size_t>(mode)].data(), delta);
+const char* ModeMajorDeltaEngine::Skips(std::int64_t mode) const {
+  return skip_.empty() ? nullptr
+                       : skip_[static_cast<std::size_t>(mode)].data();
 }
 
-void AdaptiveDeltaEngine::OnCoreValuesChanged() {
-  ModeMajorDeltaEngine::OnCoreValuesChanged();
-  RecomputeSkips();
-}
-
-void AdaptiveDeltaEngine::OnCoreEntriesRemoved(
-    const std::vector<char>& removed) {
-  ModeMajorDeltaEngine::OnCoreEntriesRemoved(removed);
-  RecomputeSkips();
-}
-
-std::int64_t AdaptiveDeltaEngine::SkippedGroups(std::int64_t mode) const {
-  const std::vector<char>& skip = skip_[static_cast<std::size_t>(mode)];
-  std::int64_t count = 0;
-  for (const char s : skip) count += s != 0 ? 1 : 0;
-  return count;
+std::int64_t ModeMajorDeltaEngine::SkippedGroups(std::int64_t mode) const {
+  const char* skip = Skips(mode);
+  if (skip == nullptr) return 0;
+  const std::int64_t rank =
+      static_cast<std::int64_t>(view(mode).offsets.size()) - 1;
+  return std::count(skip, skip + rank, 1);
 }
 
 // ---------------------------------------------------------------------------
-// TiledDeltaEngine
+// Tile kernels (width B)
 // ---------------------------------------------------------------------------
-
-TiledDeltaEngine::TiledDeltaEngine(const CoreEntryList& core,
-                                   const std::vector<Matrix>& factors,
-                                   MemoryTracker* tracker,
-                                   std::int64_t tile_width)
-    : TiledDeltaEngine(core, MakeFactorViews(factors), tracker, tile_width) {}
-
-TiledDeltaEngine::TiledDeltaEngine(const CoreEntryList& core,
-                                   std::vector<FactorView> factors,
-                                   MemoryTracker* tracker,
-                                   std::int64_t tile_width)
-    : ModeMajorDeltaEngine(core, std::move(factors), tracker),
-      tile_(std::min<std::int64_t>(tile_width, kMaxTile)) {
-  PTUCKER_CHECK(tile_width >= 1);
-}
 
 namespace {
 
@@ -594,8 +563,8 @@ constexpr bool kHaveOmpSimd = false;
 
 }  // namespace
 
-bool TiledDeltaEngine::SimdEligible(std::int64_t count,
-                                    std::int64_t mode) const {
+bool ModeMajorDeltaEngine::SimdEligible(std::int64_t count,
+                                        std::int64_t mode) const {
   if (!kHaveOmpSimd || count < kSimdMinTile) return false;
   const std::int64_t order = core().order();
   const std::int64_t width = order - 1;
@@ -609,31 +578,36 @@ bool TiledDeltaEngine::SimdEligible(std::int64_t count,
   return true;
 }
 
-void TiledDeltaEngine::DeltaBatch(std::int64_t count,
-                                  const std::int64_t* entries,
-                                  const std::int64_t* const* entry_indices,
-                                  std::int64_t mode, double* deltas) const {
-  (void)entries;  // the regrouped kernel only needs coordinates
+void ModeMajorDeltaEngine::DeltaBatch(
+    std::int64_t count, const std::int64_t* entries,
+    const std::int64_t* const* entry_indices, std::int64_t mode,
+    double* deltas) const {
+  (void)entries;  // the regrouped kernels only need coordinates
   const std::int64_t rank =
       factors()[static_cast<std::size_t>(mode)].cols();
+  const char* skip = Skips(mode);
   for (std::int64_t start = 0; start < count; start += tile_) {
     const std::int64_t chunk = std::min(tile_, count - start);
-    if (SimdEligible(chunk, mode)) {
-      TileKernelSimd(entry_indices + start, chunk, mode,
-                     deltas + start * rank);
+    const std::int64_t* const* tile = entry_indices + start;
+    double* out = deltas + start * rank;
+    if (chunk == 1) {
+      ComputeDeltaGrouped(tile[0], mode, skip, out);
+    } else if (SimdEligible(chunk, mode)) {
+      TileKernelSimd(tile, chunk, mode, skip, out);
     } else {
-      TileKernelScalar(entry_indices + start, chunk, mode,
-                       deltas + start * rank);
+      TileKernelScalar(tile, chunk, mode, skip, out);
     }
   }
 }
 
-void TiledDeltaEngine::ReconstructBatch(
+void ModeMajorDeltaEngine::ReconstructBatch(
     std::int64_t count, const std::int64_t* const* entry_indices,
     double* out) const {
   for (std::int64_t start = 0; start < count; start += tile_) {
     const std::int64_t chunk = std::min(tile_, count - start);
-    if (SimdEligible(chunk, /*mode=*/0)) {
+    if (chunk == 1) {
+      out[start] = Reconstruct(entry_indices[start]);
+    } else if (SimdEligible(chunk, /*mode=*/0)) {
       ReconstructTileSimd(entry_indices + start, chunk, out + start);
     } else {
       ReconstructTileScalar(entry_indices + start, chunk, out + start);
@@ -641,13 +615,15 @@ void TiledDeltaEngine::ReconstructBatch(
   }
 }
 
-void TiledDeltaEngine::ProductsBatch(std::int64_t count,
-                                     const std::int64_t* const* entry_indices,
-                                     double* products) const {
+void ModeMajorDeltaEngine::ProductsBatch(
+    std::int64_t count, const std::int64_t* const* entry_indices,
+    double* products) const {
   const std::int64_t n_core = core().size();
   for (std::int64_t start = 0; start < count; start += tile_) {
     const std::int64_t chunk = std::min(tile_, count - start);
-    if (SimdEligible(chunk, /*mode=*/0)) {
+    if (chunk == 1) {
+      ComputeProducts(entry_indices[start], products + start * n_core);
+    } else if (SimdEligible(chunk, /*mode=*/0)) {
       ProductsTileSimd(entry_indices + start, chunk,
                        products + start * n_core);
     } else {
@@ -668,7 +644,7 @@ namespace {
 inline void AccumulateGroupRows(
     const double* values, const std::int32_t* cols, std::int64_t begin,
     std::int64_t end, std::int64_t width,
-    const double* const (*rows)[TiledDeltaEngine::kMaxTile],
+    const double* const (*rows)[ModeMajorDeltaEngine::kMaxTile],
     std::int64_t count, double* acc) {
   for (std::int64_t i = 0; i < count; ++i) acc[i] = 0.0;
   switch (width) {
@@ -732,9 +708,9 @@ inline void AccumulateGroupRows(
 
 }  // namespace
 
-void TiledDeltaEngine::TileKernelScalar(
+void ModeMajorDeltaEngine::TileKernelScalar(
     const std::int64_t* const* entry_indices, std::int64_t count,
-    std::int64_t mode, double* deltas) const {
+    std::int64_t mode, const char* skip, double* deltas) const {
   const ModeView& v = view(mode);
   const std::int64_t order = core().order();
   const std::int64_t width = order - 1;
@@ -757,6 +733,10 @@ void TiledDeltaEngine::TileKernelScalar(
   const std::int32_t* cols = v.cols.data();
   double acc[kMaxTile];
   for (std::int64_t j = 0; j < rank; ++j) {
+    if (skip != nullptr && skip[j]) {
+      for (std::int64_t i = 0; i < count; ++i) deltas[i * rank + j] = 0.0;
+      continue;
+    }
     // Each core entry's value/columns are loaded once and applied to the
     // whole tile; the count-many accumulators are independent dependency
     // chains, unlike the single running sum of the per-entry kernel.
@@ -783,8 +763,9 @@ namespace {
 
 // Pack scratch of one SIMD tile call (sized by the SimdEligible bounds).
 struct PackedTile {
-  double slots[TiledDeltaEngine::kMaxPackWidth]
-              [TiledDeltaEngine::kMaxTile * TiledDeltaEngine::kMaxPackRank];
+  double slots[ModeMajorDeltaEngine::kMaxPackWidth]
+              [ModeMajorDeltaEngine::kMaxTile *
+               ModeMajorDeltaEngine::kMaxPackRank];
 };
 
 // Transposes the tile's factor rows for every mode except `skip` into
@@ -866,9 +847,9 @@ inline void AccumulateGroupPacked(const double* values,
 
 }  // namespace
 
-void TiledDeltaEngine::TileKernelSimd(const std::int64_t* const* entry_indices,
-                                      std::int64_t count, std::int64_t mode,
-                                      double* deltas) const {
+void ModeMajorDeltaEngine::TileKernelSimd(
+    const std::int64_t* const* entry_indices, std::int64_t count,
+    std::int64_t mode, const char* skip, double* deltas) const {
   const ModeView& v = view(mode);
   const std::int64_t order = core().order();
   const std::int64_t width = order - 1;
@@ -884,6 +865,10 @@ void TiledDeltaEngine::TileKernelSimd(const std::int64_t* const* entry_indices,
   const std::int32_t* cols = v.cols.data();
   double acc[kMaxTile];
   for (std::int64_t j = 0; j < rank; ++j) {
+    if (skip != nullptr && skip[j]) {
+      for (std::int64_t i = 0; i < count; ++i) deltas[i * rank + j] = 0.0;
+      continue;
+    }
     AccumulateGroupPacked(values, cols,
                           v.offsets[static_cast<std::size_t>(j)],
                           v.offsets[static_cast<std::size_t>(j + 1)], width,
@@ -894,7 +879,7 @@ void TiledDeltaEngine::TileKernelSimd(const std::int64_t* const* entry_indices,
   }
 }
 
-void TiledDeltaEngine::ReconstructTileScalar(
+void ModeMajorDeltaEngine::ReconstructTileScalar(
     const std::int64_t* const* entry_indices, std::int64_t count,
     double* out) const {
   const ModeView& v = view(0);
@@ -934,7 +919,7 @@ void TiledDeltaEngine::ReconstructTileScalar(
   for (std::int64_t i = 0; i < count; ++i) out[i] = total[i];
 }
 
-void TiledDeltaEngine::ReconstructTileSimd(
+void ModeMajorDeltaEngine::ReconstructTileSimd(
     const std::int64_t* const* entry_indices, std::int64_t count,
     double* out) const {
   const ModeView& v = view(0);
@@ -972,7 +957,7 @@ void TiledDeltaEngine::ReconstructTileSimd(
   for (std::int64_t i = 0; i < count; ++i) out[i] = total[i];
 }
 
-void TiledDeltaEngine::ProductsTileScalar(
+void ModeMajorDeltaEngine::ProductsTileScalar(
     const std::int64_t* const* entry_indices, std::int64_t count,
     double* products) const {
   const ModeView& v = view(0);
@@ -1086,7 +1071,7 @@ void TiledDeltaEngine::ProductsTileScalar(
   }
 }
 
-void TiledDeltaEngine::ProductsTileSimd(
+void ModeMajorDeltaEngine::ProductsTileSimd(
     const std::int64_t* const* entry_indices, std::int64_t count,
     double* products) const {
   const ModeView& v = view(0);
@@ -1226,15 +1211,11 @@ constexpr DeltaEngineDescriptor kDeltaEngineCatalog[] = {
      "follow the variant: cache variant -> Pres table, else modemajor"},
     {DeltaEngineChoice::kNaive, "naive", nullptr,
      "entry-major scan of the core list; the correctness oracle"},
-    {DeltaEngineChoice::kModeMajor, "modemajor", nullptr,
-     "per-mode regrouped core views, branch-free kernels (default)"},
+    {DeltaEngineChoice::kModeMajor, "modemajor", "tiled",
+     "per-mode regrouped core views, SIMD kernels over tiles of "
+     "--tile-width entries, group skip under --adaptive-eps (default)"},
     {DeltaEngineChoice::kCached, "cache", "cached",
      "the paper's Sec. III-C Pres table; O(1) delta per (alpha, beta)"},
-    {DeltaEngineChoice::kAdaptive, "adaptive", nullptr,
-     "modemajor + skip of low-|G| core groups under --adaptive-eps"},
-    {DeltaEngineChoice::kTiled, "tiled", nullptr,
-     "modemajor + SIMD delta/x-hat/products kernels over tiles of "
-     "--tile-width entries"},
 };
 
 }  // namespace
@@ -1262,13 +1243,15 @@ const char* DeltaEngineChoiceName(DeltaEngineChoice choice) {
   return "";
 }
 
+DeltaEngineChoice ResolveDeltaEngineChoice(DeltaEngineChoice requested,
+                                           PTuckerVariant variant) {
+  if (requested != DeltaEngineChoice::kAuto) return requested;
+  return variant == PTuckerVariant::kCache ? DeltaEngineChoice::kCached
+                                           : DeltaEngineChoice::kModeMajor;
+}
+
 DeltaEngineChoice ResolveDeltaEngineChoice(const PTuckerOptions& options) {
-  if (options.delta_engine != DeltaEngineChoice::kAuto) {
-    return options.delta_engine;
-  }
-  return options.variant == PTuckerVariant::kCache
-             ? DeltaEngineChoice::kCached
-             : DeltaEngineChoice::kModeMajor;
+  return ResolveDeltaEngineChoice(options.delta_engine, options.variant);
 }
 
 std::unique_ptr<DeltaEngine> MakeDeltaEngine(
@@ -1279,15 +1262,10 @@ std::unique_ptr<DeltaEngine> MakeDeltaEngine(
     case DeltaEngineChoice::kNaive:
       return std::make_unique<NaiveDeltaEngine>(core, factors);
     case DeltaEngineChoice::kModeMajor:
-      return std::make_unique<ModeMajorDeltaEngine>(core, factors, tracker);
+      return std::make_unique<ModeMajorDeltaEngine>(
+          core, factors, tracker, tile_width, adaptive_epsilon);
     case DeltaEngineChoice::kCached:
       return std::make_unique<CachedDeltaEngine>(x, core, factors, tracker);
-    case DeltaEngineChoice::kAdaptive:
-      return std::make_unique<AdaptiveDeltaEngine>(core, factors, tracker,
-                                                   adaptive_epsilon);
-    case DeltaEngineChoice::kTiled:
-      return std::make_unique<TiledDeltaEngine>(core, factors, tracker,
-                                                tile_width);
     case DeltaEngineChoice::kAuto:
       break;
   }

@@ -31,13 +31,11 @@ namespace ptucker {
 /// pluggable so callers never special-case it:
 ///
 ///   - NaiveDeltaEngine     entry-major scan; the correctness oracle.
-///   - ModeMajorDeltaEngine per-mode regrouped core views; branch-free
-///                          contiguous inner products. The default.
+///   - ModeMajorDeltaEngine per-mode regrouped core views with tiled batch
+///                          kernels (width B) and an optional VeST-style
+///                          group skip under an error budget ε (exact at
+///                          ε = 0). The default.
 ///   - CachedDeltaEngine    the §III-C Pres table behind the same calls.
-///   - AdaptiveDeltaEngine  mode-major views + VeST-style group skipping
-///                          under an error budget ε (exact at ε = 0).
-///   - TiledDeltaEngine     mode-major views + a native B-wide DeltaBatch
-///                          kernel (cuFasterTucker-style batching).
 ///
 /// Engines hold a non-owning view of the core entry list and non-owning
 /// FactorViews of the factor storage; both referents must outlive the
@@ -49,9 +47,8 @@ namespace ptucker {
 /// the On* hooks so engines with derived state (reordered views, the Pres
 /// table) stay consistent.
 ///
-/// Adding another engine (e.g. a SIMD or GPU kernel) means subclassing
-/// (DeltaEngine directly, or ModeMajorDeltaEngine to inherit the regrouped
-/// views), overriding ComputeDelta and/or the batch kernels (DeltaBatch,
+/// Adding another engine (e.g. a GPU kernel) means subclassing
+/// DeltaEngine, overriding ComputeDelta and/or the batch kernels (DeltaBatch,
 /// ReconstructBatch, ProductsBatch — plus any optional bulk kernels worth
 /// specializing), handling the three hooks, and wiring a new enumerator
 /// through DeltaEngineChoice + DeltaEngineCatalog() + MakeDeltaEngine.
@@ -91,10 +88,10 @@ class DeltaEngine {
   /// written contiguously (`deltas[i·Jn .. (i+1)·Jn)` belongs to tile
   /// entry i). `entries[i]` and `entry_indices[i]` follow the ComputeDelta
   /// conventions. The base implementation is a per-entry loop, so every
-  /// engine supports the batch call and consumers can be rewired to it
-  /// incrementally; TiledDeltaEngine overrides it with a kernel that
-  /// streams each core group once per tile instead of once per entry.
-  /// Per-entry results are identical to `count` ComputeDelta calls.
+  /// engine supports the batch call; ModeMajorDeltaEngine overrides it
+  /// with a kernel that streams each core group once per tile instead of
+  /// once per entry. Per-entry results are identical to `count`
+  /// ComputeDelta calls.
   virtual void DeltaBatch(std::int64_t count, const std::int64_t* entries,
                           const std::int64_t* const* entry_indices,
                           std::int64_t mode, double* deltas) const;
@@ -109,8 +106,8 @@ class DeltaEngine {
 
   /// Batch x̂: out[i] = Reconstruct(entry_indices[i]) for a tile of
   /// `count` entries. The base implementation is a per-entry loop;
-  /// TiledDeltaEngine overrides it with a kernel that streams each core
-  /// group once per tile. Per-entry results are identical to `count`
+  /// ModeMajorDeltaEngine overrides it with a kernel that streams each
+  /// core group once per tile. Per-entry results are identical to `count`
   /// Reconstruct calls, so metric paths may tile freely.
   virtual void ReconstructBatch(std::int64_t count,
                                 const std::int64_t* const* entry_indices,
@@ -124,8 +121,8 @@ class DeltaEngine {
   /// Batch c_αβ: the ComputeProducts vector for each of `count` entries,
   /// written contiguously (`products[i·|G| .. (i+1)·|G|)` belongs to tile
   /// entry i). The base implementation is a per-entry loop;
-  /// TiledDeltaEngine overrides it with a kernel that streams each core
-  /// group once per tile. Per-entry results are identical to `count`
+  /// ModeMajorDeltaEngine overrides it with a kernel that streams each
+  /// core group once per tile. Per-entry results are identical to `count`
   /// ComputeProducts calls, so the truncation scorer may tile freely.
   virtual void ProductsBatch(std::int64_t count,
                              const std::int64_t* const* entry_indices,
@@ -186,34 +183,82 @@ class NaiveDeltaEngine final : public DeltaEngine {
                     std::int64_t mode, double* delta) const override;
 };
 
-/// Mode-major layout: one reordered copy of the core entries per mode,
-/// grouped by β_n with the mode-n column factored out into the group id.
-/// The inner product is branch-free (no `if (k == mode)`), reads the
-/// remaining N−1 column indices contiguously, and accumulates each
-/// delta[β_n] in a register per group instead of scattering. Kernels that
-/// carry the mode-n coefficient (Reconstruct, ComputeProducts, the design
-/// ops) skip a whole group when its row coefficient is zero.
+/// The production engine: per-mode regrouped core views, tiled batch
+/// kernels and an optional VeST-style group skip, in one class.
 ///
-/// The views cost Θ(N·|G|) extra memory, charged to the tracker for the
-/// engine's lifetime. They are maintained incrementally: RefreshValues
-/// only rewrites the value arrays through a stored permutation, and Remove
-/// compacts each view in place — neither re-sorts.
+/// **Layout.** One reordered copy of the core entries per mode, grouped by
+/// β_n with the mode-n column factored out into the group id. The inner
+/// product is branch-free (no `if (k == mode)`), reads the remaining N−1
+/// column indices contiguously, and accumulates each delta[β_n] in a
+/// register per group instead of scattering. Kernels that carry the
+/// mode-n coefficient (Reconstruct, ComputeProducts, the design ops) skip
+/// a whole group when its row coefficient is zero. The views cost
+/// Θ(N·|G|) extra memory, charged to the tracker for the engine's
+/// lifetime, and are maintained incrementally: RefreshValues only rewrites
+/// the value arrays through a stored permutation, and Remove compacts each
+/// view in place — neither re-sorts.
 ///
-/// Subclassable: AdaptiveDeltaEngine and TiledDeltaEngine build on the
-/// same regrouped views (exposed to them as protected state) and inherit
-/// every kernel they do not specialize.
-class ModeMajorDeltaEngine : public DeltaEngine {
+/// **Tiles (`tile_width` B).** DeltaBatch, ReconstructBatch and
+/// ProductsBatch evaluate up to B entries at once (cuFasterTucker-style,
+/// Li et al., PAPERS.md): each core group's value/column stream is read
+/// once per tile instead of once per entry, and the B accumulators are
+/// independent dependency chains. Tiles of at least kSimdMinTile entries
+/// first pack the tile's factor rows into transposed scratch so the
+/// `#pragma omp simd` lane loops read unit-stride vectors; shorter tiles,
+/// orders or ranks past the pack bounds, and builds without OpenMP SIMD
+/// take a scalar kernel that computes the same bits. Single-entry tiles
+/// run the per-entry kernels, so B = 1 is the plain per-entry scan. Every
+/// lane keeps the per-entry multiply/accumulate order, so batch results
+/// are bit-identical to the per-entry kernels at every width.
+///
+/// **Group skip (`epsilon` ε).** Per view, the groups whose cumulative
+/// magnitude Σ|G_β| fits in ε · Σ_β |G_β| (greedy smallest-weight-first,
+/// VeST, Park et al., PAPERS.md) are flagged; ComputeDelta and DeltaBatch
+/// write 0 for flagged groups and never stream them, so the δ-sweep drops
+/// roughly an ε fraction of its inner products. The absolute error of
+/// each skipped component is bounded by its group weight times the
+/// product of the largest participating factor magnitudes. Only δ is
+/// lossy: x̂, c_αβ and the design ops stay exact, so error metrics and
+/// truncation scores never degrade. At ε = 0 there are no flags at all
+/// (the kernels get `nullptr`) and δ is exact. Flags are recomputed
+/// whenever the core list changes (RefreshValues / Remove).
+class ModeMajorDeltaEngine final : public DeltaEngine {
  public:
+  /// Hard upper bound on the tile width (sizes the kernels' stack
+  /// buffers); wider requests are clamped.
+  static constexpr std::int64_t kMaxTile = 64;
+
+  /// Shortest tile the SIMD kernels are worth entering: the transposed
+  /// row pack is amortized only once a tile spans many vector registers,
+  /// so shorter tiles (including partial trailing tiles) take the scalar
+  /// kernel, which computes identical bits.
+  static constexpr std::int64_t kSimdMinTile = 32;
+
+  /// Widest non-mode slot count (order − 1) the SIMD kernels pack for;
+  /// higher orders take the scalar kernel.
+  static constexpr std::int64_t kMaxPackWidth = 3;
+
+  /// Largest per-mode rank the SIMD kernels pack for (bounds the stack
+  /// scratch at kMaxPackWidth·kMaxTile·kMaxPackRank doubles); larger
+  /// ranks take the scalar kernel.
+  static constexpr std::int64_t kMaxPackRank = 32;
+
   /// Charges the view bytes to `tracker` (throws OutOfMemoryBudget when
-  /// over budget) before building.
+  /// over budget) before building. `tile_width` must be >= 1 (clamped to
+  /// kMaxTile); `epsilon` must be in [0, 1).
   ModeMajorDeltaEngine(const CoreEntryList& core,
                        const std::vector<Matrix>& factors,
-                       MemoryTracker* tracker);
+                       MemoryTracker* tracker,
+                       std::int64_t tile_width = kDefaultTileWidth,
+                       double epsilon = 0.0);
 
-  /// Same, bound directly to factor views (serving plane).
+  /// Same, bound directly to factor views (serving plane — this is the
+  /// engine ModelSnapshot builds zero-copy over an mmap-ed snapshot).
   ModeMajorDeltaEngine(const CoreEntryList& core,
                        std::vector<FactorView> factors,
-                       MemoryTracker* tracker);
+                       MemoryTracker* tracker,
+                       std::int64_t tile_width = kDefaultTileWidth,
+                       double epsilon = 0.0);
   /// Releases the view bytes charged to the tracker.
   ~ModeMajorDeltaEngine() override;
 
@@ -232,12 +277,29 @@ class ModeMajorDeltaEngine : public DeltaEngine {
   void DesignAccumulate(const std::int64_t* entry_index, double scale,
                         double* z) const override;
 
+  void DeltaBatch(std::int64_t count, const std::int64_t* entries,
+                  const std::int64_t* const* entry_indices, std::int64_t mode,
+                  double* deltas) const override;
+  void ReconstructBatch(std::int64_t count,
+                        const std::int64_t* const* entry_indices,
+                        double* out) const override;
+  void ProductsBatch(std::int64_t count,
+                     const std::int64_t* const* entry_indices,
+                     double* products) const override;
+  std::int64_t PreferredBatch() const override { return tile_; }
+
   void OnCoreValuesChanged() override;
   void OnCoreEntriesRemoved(const std::vector<char>& removed) override;
 
   std::int64_t ByteSize() const override { return charged_bytes_; }
 
- protected:
+  /// The error budget ε the engine was built with.
+  double epsilon() const { return epsilon_; }
+
+  /// Groups currently skipped in mode `mode`'s view (for tests/benches).
+  std::int64_t SkippedGroups(std::int64_t mode) const;
+
+ private:
   /// Core entries of one mode, grouped by that mode's coordinate β_n.
   /// Group j spans [offsets[j], offsets[j+1]); within a group, entries keep
   /// list order, so per-group sums reassociate nothing vs the naive scan.
@@ -252,193 +314,61 @@ class ModeMajorDeltaEngine : public DeltaEngine {
   /// in the hot kernels are sized by this.
   static constexpr std::int64_t kMaxOrder = 32;
 
-  /// The regrouped view of mode `mode` (one per tensor mode).
   const ModeView& view(std::int64_t mode) const {
     return views_[static_cast<std::size_t>(mode)];
   }
 
-  /// The δ kernel over mode `mode`'s regrouped view, honoring an optional
-  /// per-group skip vector (`nullptr` computes every group; a skipped
-  /// group's component is written as 0). Shared by ComputeDelta and the
-  /// adaptive engine so the hot kernel exists exactly once.
+  /// Mode `mode`'s per-group skip flags, or nullptr when nothing is
+  /// skipped (always at ε = 0).
+  const char* Skips(std::int64_t mode) const;
+
+  std::int64_t ExpectedBytes() const;
+  void BuildViews();
+  void RecomputeSkips();
+
+  /// The per-entry δ kernel; a group flagged in `skip` (may be nullptr)
+  /// is written as 0 without being streamed.
   void ComputeDeltaGrouped(const std::int64_t* entry_index, std::int64_t mode,
                            const char* skip, double* delta) const;
 
- private:
-  std::int64_t ExpectedBytes() const;
-  void BuildViews();
-
-  std::vector<ModeView> views_;
-  MemoryTracker* tracker_;
-  std::int64_t charged_bytes_ = 0;
-};
-
-/// VeST-style sparsity-adaptive engine (Park et al., PAPERS.md): the
-/// mode-major regrouped views plus, per view, a skip flag for the groups
-/// whose cumulative magnitude Σ|G_β| falls under the error budget
-/// ε · Σ_β |G_β| (greedy smallest-weight-first). ComputeDelta writes 0 for
-/// skipped groups and never streams them, so the δ-sweep drops roughly an
-/// ε fraction of its inner products; the absolute error of each skipped
-/// component is bounded by its group weight times the product of the
-/// largest participating factor magnitudes. Every other kernel
-/// (Reconstruct, ComputeProducts, the design ops) stays exact so error
-/// metrics and truncation scores are never degraded. At ε = 0 nothing
-/// with nonzero weight is skipped and δ is bit-identical to the
-/// mode-major engine. Skip flags are recomputed whenever the core list
-/// changes (RefreshValues / Remove).
-class AdaptiveDeltaEngine final : public ModeMajorDeltaEngine {
- public:
-  /// `epsilon` must be in [0, 1) — the fraction of total core magnitude
-  /// the skipped groups may cumulatively reach.
-  AdaptiveDeltaEngine(const CoreEntryList& core,
-                      const std::vector<Matrix>& factors,
-                      MemoryTracker* tracker, double epsilon);
-
-  /// Same, bound directly to factor views (serving plane).
-  AdaptiveDeltaEngine(const CoreEntryList& core,
-                      std::vector<FactorView> factors, MemoryTracker* tracker,
-                      double epsilon);
-
-  DeltaEngineChoice kind() const override {
-    return DeltaEngineChoice::kAdaptive;
-  }
-  const char* name() const override { return "adaptive"; }
-
-  void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
-                    std::int64_t mode, double* delta) const override;
-
-  void OnCoreValuesChanged() override;
-  void OnCoreEntriesRemoved(const std::vector<char>& removed) override;
-
-  /// The error budget the engine was built with.
-  double epsilon() const { return epsilon_; }
-
-  /// Groups currently skipped in mode `mode`'s view (for tests/benches).
-  std::int64_t SkippedGroups(std::int64_t mode) const;
-
- private:
-  void RecomputeSkips();
-
-  double epsilon_;
-  std::vector<std::vector<char>> skip_;  // per mode, per group
-};
-
-/// Tiled batch engine (cuFasterTucker-style, Li et al., PAPERS.md): the
-/// mode-major regrouped views plus native DeltaBatch / ReconstructBatch /
-/// ProductsBatch kernels that evaluate a tile of up to `tile_width`
-/// entries simultaneously. Each core group's value/column stream is read
-/// once per tile instead of once per entry, and the tile-wide accumulators
-/// form B independent dependency chains, so the inner loop is
-/// throughput-bound instead of serialised on one running sum.
-///
-/// Each batch call picks between two kernels per tile:
-///
-///   - The **SIMD kernel** first packs the tile's factor rows into
-///     transposed scratch (`packed[w][c·B + i]` = lane i's coefficient for
-///     column c of the w-th non-mode factor), so the `#pragma omp simd`
-///     lane loops read unit-stride vectors instead of chasing B row
-///     pointers per streamed core entry — the CPU analogue of
-///     cuFasterTucker staging factor rows in shared memory. Lanes are
-///     independent accumulator chains, so vectorizing across them
-///     reassociates nothing within any per-entry sum.
-///   - The **scalar fallback** keeps per-lane row pointers and plain
-///     loops. A runtime check (SimdEligible) steers tiles that are too
-///     short to amortize the pack, tensors whose order or ranks exceed
-///     the pack scratch bounds, and every call in a build without OpenMP
-///     SIMD onto it. Both kernels produce the same bits.
-///
-/// Per-entry multiply/accumulate order equals the mode-major scan's, so
-/// batch results are bit-identical to it for any tile width. Single-entry
-/// calls (ComputeDelta, Reconstruct, …) inherit the mode-major kernels
-/// unchanged.
-class TiledDeltaEngine final : public ModeMajorDeltaEngine {
- public:
-  /// Hard upper bound on the tile width (sizes the kernel's stack
-  /// buffers); wider requests are clamped.
-  static constexpr std::int64_t kMaxTile = 64;
-
-  /// Shortest tile the SIMD kernels are worth entering: the transposed
-  /// row pack is amortized only once a tile spans many vector registers,
-  /// so shorter tiles (including every partial trailing tile) take the
-  /// scalar fallback, which computes identical bits.
-  static constexpr std::int64_t kSimdMinTile = 32;
-
-  /// Widest non-mode slot count (order − 1) the SIMD kernels pack for;
-  /// higher orders take the scalar fallback.
-  static constexpr std::int64_t kMaxPackWidth = 3;
-
-  /// Largest per-mode rank the SIMD kernels pack for (bounds the stack
-  /// scratch at kMaxPackWidth·kMaxTile·kMaxPackRank doubles); larger
-  /// ranks take the scalar fallback.
-  static constexpr std::int64_t kMaxPackRank = 32;
-
-  /// `tile_width` must be >= 1; it is clamped to kMaxTile.
-  TiledDeltaEngine(const CoreEntryList& core,
-                   const std::vector<Matrix>& factors, MemoryTracker* tracker,
-                   std::int64_t tile_width);
-
-  /// Same, bound directly to factor views (serving plane — this is the
-  /// engine ModelSnapshot builds zero-copy over an mmap-ed snapshot).
-  TiledDeltaEngine(const CoreEntryList& core, std::vector<FactorView> factors,
-                   MemoryTracker* tracker, std::int64_t tile_width);
-
-  DeltaEngineChoice kind() const override { return DeltaEngineChoice::kTiled; }
-  const char* name() const override { return "tiled"; }
-
-  void DeltaBatch(std::int64_t count, const std::int64_t* entries,
-                  const std::int64_t* const* entry_indices, std::int64_t mode,
-                  double* deltas) const override;
-
-  void ReconstructBatch(std::int64_t count,
-                        const std::int64_t* const* entry_indices,
-                        double* out) const override;
-
-  void ProductsBatch(std::int64_t count,
-                     const std::int64_t* const* entry_indices,
-                     double* products) const override;
-
-  std::int64_t PreferredBatch() const override { return tile_; }
-
- private:
   /// The runtime check in front of every SIMD kernel: true when the tile
   /// is long enough to amortize the row pack and the non-`mode` factor
   /// ranks fit the pack scratch (width ∈ [1, kMaxPackWidth], every rank
   /// <= kMaxPackRank) in a build with OpenMP SIMD.
   bool SimdEligible(std::int64_t count, std::int64_t mode) const;
 
-  /// Scalar δ tile kernel: per-lane factor-row pointers, plain loops.
+  /// δ tile kernels (scalar: per-lane row pointers; SIMD: transposed row
+  /// pack). Both honor `skip` like ComputeDeltaGrouped and produce the
+  /// same bits.
   void TileKernelScalar(const std::int64_t* const* entry_indices,
                         std::int64_t count, std::int64_t mode,
-                        double* deltas) const;
-
-  /// SIMD δ tile kernel: transposed row pack + `#pragma omp simd` lane
-  /// loops. Bit-identical to the scalar kernel.
+                        const char* skip, double* deltas) const;
   void TileKernelSimd(const std::int64_t* const* entry_indices,
-                      std::int64_t count, std::int64_t mode,
+                      std::int64_t count, std::int64_t mode, const char* skip,
                       double* deltas) const;
 
-  /// Scalar x̂ tile kernel against view 0, carrying each lane's mode-0
-  /// coefficient exactly like the mode-major Reconstruct (group skipped
-  /// per lane when its coefficient is zero).
+  /// x̂ tile kernels against view 0, carrying each lane's mode-0
+  /// coefficient exactly like Reconstruct (group skipped per lane when its
+  /// coefficient is zero).
   void ReconstructTileScalar(const std::int64_t* const* entry_indices,
                              std::int64_t count, double* out) const;
-
-  /// SIMD x̂ tile kernel (transposed row pack). Bit-identical to scalar.
   void ReconstructTileSimd(const std::int64_t* const* entry_indices,
                            std::int64_t count, double* out) const;
 
-  /// Scalar c_αβ tile kernel against view 0, scattered to list order per
-  /// lane (stride core().size()), preserving ComputeProducts' multiply
-  /// order and its exact-0 writes for zero coefficients.
+  /// c_αβ tile kernels against view 0, scattered to list order per lane
+  /// (stride core().size()), preserving ComputeProducts' multiply order and
+  /// its exact-0 writes for zero coefficients.
   void ProductsTileScalar(const std::int64_t* const* entry_indices,
                           std::int64_t count, double* products) const;
-
-  /// SIMD c_αβ tile kernel (transposed row pack). Bit-identical to
-  /// scalar.
   void ProductsTileSimd(const std::int64_t* const* entry_indices,
                         std::int64_t count, double* products) const;
 
+  std::vector<ModeView> views_;
+  MemoryTracker* tracker_;
+  std::int64_t charged_bytes_ = 0;
   std::int64_t tile_;
+  double epsilon_;
+  std::vector<std::vector<char>> skip_;  // per mode, per group; empty at ε = 0
 };
 
 /// The §III-C Pres table (CacheTable) behind the engine interface: δ by
@@ -500,15 +430,21 @@ const DeltaEngineDescriptor* FindDeltaEngineByName(const std::string& name);
 /// Canonical CLI token of `choice` (from the catalog).
 const char* DeltaEngineChoiceName(DeltaEngineChoice choice);
 
-/// The engine a PTuckerOptions value actually asks for: an explicit
-/// delta_engine wins; kAuto maps kCache to kCached and everything else to
-/// kModeMajor. Never returns kAuto.
+/// The one resolver of kAuto: an explicit `requested` engine wins; kAuto
+/// maps the kCache variant to kCached and everything else to kModeMajor
+/// (built at PTuckerOptions::tile_width, kDefaultTileWidth by default).
+/// Never returns kAuto. Callers without a variant (the streaming
+/// pipeline) pass kMemory.
+DeltaEngineChoice ResolveDeltaEngineChoice(DeltaEngineChoice requested,
+                                           PTuckerVariant variant);
+
+/// ResolveDeltaEngineChoice(options.delta_engine, options.variant).
 DeltaEngineChoice ResolveDeltaEngineChoice(const PTuckerOptions& options);
 
 /// Builds the requested engine over `x`, `core` and `factors` (all
 /// outliving the engine). `choice` must not be kAuto — resolve it first.
 /// `x` and `tracker` may go unused depending on the engine.
-/// `adaptive_epsilon` is consumed by kAdaptive and `tile_width` by kTiled
+/// `adaptive_epsilon` and `tile_width` are the kModeMajor engine's ε and B
 /// (PTuckerOptions carries both; see those fields for semantics).
 std::unique_ptr<DeltaEngine> MakeDeltaEngine(
     DeltaEngineChoice choice, const SparseTensor& x, const CoreEntryList& core,

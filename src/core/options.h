@@ -36,24 +36,20 @@ enum class DeltaEngineChoice {
   kAuto,
   /// Entry-major scan of the core list — the correctness oracle.
   kNaive,
-  /// Per-mode regrouped core views with branch-free inner products — the
-  /// default hot path.
+  /// Per-mode regrouped core views with tiled batch kernels of
+  /// PTuckerOptions::tile_width entries and a VeST-style group skip under
+  /// PTuckerOptions::adaptive_epsilon (exact at ε = 0) — the default hot
+  /// path.
   kModeMajor,
   /// The §III-C Pres table behind the engine interface.
   kCached,
-  /// Mode-major views plus a VeST-style group skip: core groups whose
-  /// cumulative |G_β| mass falls under PTuckerOptions::adaptive_epsilon
-  /// are dropped from δ. Exact (bit-identical to kModeMajor) at ε = 0.
-  kAdaptive,
-  /// Mode-major views plus a native B-wide DeltaBatch kernel: one tile of
-  /// PTuckerOptions::tile_width entries shares each streamed core group
-  /// (cuFasterTucker-style; the stepping stone to SIMD/GPU).
-  kTiled,
 };
 
-/// Default DeltaBatch tile width of the kTiled engine (entries per tile).
-/// Shared by PTuckerOptions and MakeDeltaEngine so the two cannot drift.
-inline constexpr std::int64_t kDefaultTileWidth = 16;
+/// Default tile width of the kModeMajor engine (entries per DeltaBatch /
+/// ReconstructBatch / ProductsBatch tile). 64 is the engine's widest tile
+/// and clears its SIMD threshold. Shared by PTuckerOptions, the ingest and
+/// serving options and MakeDeltaEngine so they cannot drift.
+inline constexpr std::int64_t kDefaultTileWidth = 64;
 
 /// OpenMP scheduling of the row updates (paper §III-D). The paper's
 /// "careful distribution of work" is dynamic scheduling; static is the
@@ -88,26 +84,26 @@ struct PTuckerOptions {
   /// value overrides it (e.g. kNaive pins the oracle scan for debugging).
   DeltaEngineChoice delta_engine = DeltaEngineChoice::kAuto;
 
-  /// Error budget ε of the kAdaptive engine, as a fraction of the total
+  /// Error budget ε of the kModeMajor engine, as a fraction of the total
   /// core magnitude Σ_β |G_β| per regrouped view. Groups are skipped
   /// smallest-first while their cumulative |G_β| mass stays ≤ ε · Σ|G_β|,
   /// bounding the δ error by ε · Σ|G_β| · max|A|^(N−1) per component sum.
   /// Only δ is lossy: the engine's reconstruction/products/design kernels
   /// stay exact, so error metrics and truncation scores never degrade.
-  /// 0 (default) skips nothing and is bit-identical to kModeMajor; must be
-  /// in [0, 1). Ignored by the other engines.
+  /// 0 (default) skips nothing and is exact; must be in [0, 1). Ignored
+  /// by the other engines.
   double adaptive_epsilon = 0.0;
 
-  /// Entries per batch tile of the kTiled engine — the width of its
+  /// Entries per batch tile of the kModeMajor engine — the width of its
   /// DeltaBatch, ReconstructBatch, and ProductsBatch kernels, which the
   /// solver row update, the reconstruction/test-RMSE metrics, and the
   /// approx truncation scorer all consume (each consuming tiles in entry
   /// order, so results are bit-identical at every width). Must be >= 1;
-  /// clamped to the engine's compile-time kMaxTile (64). Tiles below
-  /// TiledDeltaEngine::kSimdMinTile (32) — including this default — run
-  /// the scalar tile kernels; the packed `#pragma omp simd` kernels,
-  /// which pay only at wide tiles, need tile_width >= 32. Ignored by the
-  /// other engines (they batch with width 1).
+  /// clamped to the engine's kMaxTile (64). 1 is the per-entry scan.
+  /// Tiles of at least ModeMajorDeltaEngine::kSimdMinTile (32) entries,
+  /// such as full tiles at this default, run the packed `#pragma omp
+  /// simd` kernels; shorter tiles run the scalar tile kernels. Ignored by
+  /// the other engines (they batch with width 1).
   std::int64_t tile_width = kDefaultTileWidth;
 
   /// Truncation rate p per iteration (P-TUCKER-APPROX only). Paper: 0.2.

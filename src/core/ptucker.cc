@@ -166,9 +166,10 @@ PTuckerResult PTuckerDecompose(const SparseTensor& x,
   // row + c (J²+2J), the δ tile (batch·J) and its entry ids/coordinate
   // pointers/values (3·batch words), plus the reconstruction-error tile
   // (coordinate pointers, observed values, and x̂ — 3·batch words) used by
-  // the metric path — still the O(T J²) of Theorem 4 for the default
-  // batch-1 engines. (The truncation scorer's batch·|G| products scratch
-  // is charged inside ComputePartialErrors, where |G| is current.)
+  // the metric path — O(T·(J² + B·J)) for tile width B ≤ 64, still the
+  // O(T J²) of Theorem 4 up to that constant. (The truncation scorer's
+  // batch·|G| products scratch is charged inside ComputePartialErrors,
+  // where |G| is current.)
   const std::int64_t scratch_bytes =
       static_cast<std::int64_t>(threads) *
       static_cast<std::int64_t>(sizeof(double)) *

@@ -21,22 +21,14 @@ class ResidualWorker {
  public:
   ResidualWorker(const SparseTensor& x, const DeltaEngine& engine,
                  std::int64_t batch)
-      : x_(&x), engine_(&engine), batch_(batch) {
-    if (batch_ > 1) {
-      indices_.resize(static_cast<std::size_t>(batch_));
-      observed_.resize(static_cast<std::size_t>(batch_));
-      predicted_.resize(static_cast<std::size_t>(batch_));
-    }
-  }
+      : x_(&x),
+        engine_(&engine),
+        batch_(batch),
+        indices_(static_cast<std::size_t>(batch)),
+        observed_(static_cast<std::size_t>(batch)),
+        predicted_(static_cast<std::size_t>(batch)) {}
 
   void operator()(std::int64_t e, double* local) {
-    if (batch_ == 1) {
-      // Batch-1 engines keep the direct per-entry hot path.
-      const double residual =
-          x_->value(e) - engine_->Reconstruct(x_->index(e));
-      *local += residual * residual;
-      return;
-    }
     indices_[static_cast<std::size_t>(pending_)] = x_->index(e);
     observed_[static_cast<std::size_t>(pending_)] = x_->value(e);
     if (++pending_ == batch_) Flush(local);
@@ -65,7 +57,7 @@ class ResidualWorker {
 
 // Σ (X_α − x̂_α)² in parallel; the building block of both metrics.
 // Deterministic combine order so fixed-seed solves are bit-reproducible;
-// tiled through ReconstructBatch when the engine has a real batch kernel.
+// tiled through ReconstructBatch.
 double SquaredResidualSum(const SparseTensor& x, const DeltaEngine& engine) {
   double lane_sums[kReductionLanes];
   SquaredResidualLaneSums(x, engine, 0, kReductionLanes, lane_sums);
@@ -135,10 +127,6 @@ void PredictEntries(std::int64_t count, const std::int64_t* const* indices,
     };
 #pragma omp for schedule(static)
     for (std::int64_t e = 0; e < count; ++e) {
-      if (batch == 1) {
-        out[e] = engine.Reconstruct(indices[e]);
-        continue;
-      }
       if (pending == 0) tile_start = e;
       tile[static_cast<std::size_t>(pending)] = indices[e];
       if (++pending == batch) flush();

@@ -84,7 +84,7 @@ void UpdateFactorRows(const SparseTensor& x, std::int64_t mode,
   {
     // Per-thread intermediate data (Fig. 4): B, c, the δ tile, and
     // the row. The tile buffers batch entries between DeltaBatch
-    // calls; with batch = 1 this degenerates to the per-entry flow.
+    // calls.
     Matrix b(rank, rank);
     std::vector<double> c(static_cast<std::size_t>(rank));
     std::vector<double> new_row(static_cast<std::size_t>(rank));
@@ -119,23 +119,14 @@ void UpdateFactorRows(const SparseTensor& x, std::int64_t mode,
         if (pending == 0) return;
         engine.DeltaBatch(pending, tile_entries.data(), tile_index.data(),
                           mode, deltas.data());
+        SymmetricTileUpdate(b, deltas.data(), pending);    // Eq. 10
         for (std::int64_t t = 0; t < pending; ++t) {
-          double* delta = deltas.data() + t * rank;
-          SymmetricRank1Update(b, delta);                  // Eq. 10
-          Axpy(tile_values[static_cast<std::size_t>(t)], delta, c.data(),
-               rank);                                      // Eq. 11
+          Axpy(tile_values[static_cast<std::size_t>(t)],
+               deltas.data() + t * rank, c.data(), rank);  // Eq. 11
         }
         pending = 0;
       };
       const auto accumulate_entry = [&](std::int64_t entry) {
-        if (batch == 1) {
-          // Batch-1 engines keep the direct per-entry hot path — no
-          // tile buffering, no extra virtual dispatch.
-          engine.ComputeDelta(entry, x.index(entry), mode, deltas.data());
-          SymmetricRank1Update(b, deltas.data());            // Eq. 10
-          Axpy(x.value(entry), deltas.data(), c.data(), rank);
-          return;
-        }
         tile_entries[static_cast<std::size_t>(pending)] = entry;
         tile_index[static_cast<std::size_t>(pending)] = x.index(entry);
         tile_values[static_cast<std::size_t>(pending)] = x.value(entry);

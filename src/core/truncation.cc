@@ -26,21 +26,15 @@ class PartialErrorWorker {
  public:
   PartialErrorWorker(const SparseTensor& x, const DeltaEngine& engine,
                      std::int64_t n_core, std::int64_t batch)
-      : x_(&x), engine_(&engine), n_core_(n_core), batch_(batch) {
-    products_.resize(static_cast<std::size_t>(batch_ * n_core_));
-    if (batch_ > 1) {
-      indices_.resize(static_cast<std::size_t>(batch_));
-      observed_.resize(static_cast<std::size_t>(batch_));
-    }
-  }
+      : x_(&x),
+        engine_(&engine),
+        n_core_(n_core),
+        batch_(batch),
+        products_(static_cast<std::size_t>(batch * n_core)),
+        indices_(static_cast<std::size_t>(batch)),
+        observed_(static_cast<std::size_t>(batch)) {}
 
   void operator()(std::int64_t e, double* local) {
-    if (batch_ == 1) {
-      // Batch-1 engines keep the direct per-entry hot path.
-      engine_->ComputeProducts(x_->index(e), products_.data());
-      Accumulate(x_->value(e), products_.data(), local);
-      return;
-    }
     indices_[static_cast<std::size_t>(pending_)] = x_->index(e);
     observed_[static_cast<std::size_t>(pending_)] = x_->value(e);
     if (++pending_ == batch_) Flush(local);
@@ -105,7 +99,7 @@ std::vector<double> ComputePartialErrors(const SparseTensor& x,
   const std::int64_t scratch_bytes =
       static_cast<std::int64_t>(omp_get_max_threads()) *
       static_cast<std::int64_t>(sizeof(double)) *
-      (batch * n_core + (batch > 1 ? 2 * batch : 0));
+      (batch * n_core + 2 * batch);
   ScopedCharge scratch_charge(tracker, scratch_bytes);
 
   // Per-thread accumulators merged in thread order (no atomics on the hot

@@ -1,6 +1,7 @@
 #include "linalg/blas.h"
 
 #include <cmath>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -86,6 +87,38 @@ void SymmetricRank1Update(Matrix& b, const double* x) {
     const double scale = x[i];
     if (scale == 0.0) continue;
     Axpy(scale, x, b.Row(i), n);
+  }
+}
+
+void SymmetricTileUpdate(Matrix& b, const double* x, std::int64_t count) {
+  PTUCKER_CHECK(b.rows() == b.cols());
+  const std::int64_t n = b.rows();
+  // Row i of the upper triangle is held in `acc` across the whole tile,
+  // so each B(i,j) is one running sum over t in order. A rank-1 sequence
+  // adds the same products in the same order; the terms it skips for
+  // x_t[i] == 0 are ±0 here, which leave any sum that is not −0 unchanged
+  // (and a sum that starts at +0 never becomes −0), hence the same bits
+  // for finite x.
+  constexpr std::int64_t kStackRank = 64;
+  double stack_acc[kStackRank];
+  std::vector<double> heap_acc;
+  double* acc = stack_acc;
+  if (n > kStackRank) {
+    heap_acc.resize(static_cast<std::size_t>(n));
+    acc = heap_acc.data();
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    double* row = b.Row(i);
+    for (std::int64_t j = i; j < n; ++j) acc[j] = row[j];
+    const double* xt = x;
+    for (std::int64_t t = 0; t < count; ++t, xt += n) {
+      const double scale = xt[i];
+      for (std::int64_t j = i; j < n; ++j) acc[j] += scale * xt[j];
+    }
+    for (std::int64_t j = i; j < n; ++j) row[j] = acc[j];
+  }
+  for (std::int64_t i = 1; i < n; ++i) {
+    for (std::int64_t j = 0; j < i; ++j) b(i, j) = b(j, i);
   }
 }
 

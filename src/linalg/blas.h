@@ -39,6 +39,15 @@ double Norm2(const double* x, std::int64_t n);
 /// matrix B. This is the hot kernel building `B(n,in)` (Eq. 10).
 void SymmetricRank1Update(Matrix& b, const double* x);
 
+/// Tile Gram update: B += Σ_t x_t x_tᵀ over the `count` rows x_t of the
+/// row-major count × n block `x` (n = B's order, B symmetric) — the Eq. 10
+/// accumulation of one δ tile. Each upper-triangle B(i,j) accumulates
+/// its count products in t order, then the lower triangle is mirrored,
+/// so for finite x and a B holding no −0 (e.g. zero-filled) the result
+/// is bit-identical to `count` sequential SymmetricRank1Update calls, at
+/// about half the flops.
+void SymmetricTileUpdate(Matrix& b, const double* x, std::int64_t count);
+
 }  // namespace ptucker
 
 #endif  // PTUCKER_LINALG_BLAS_H_

@@ -115,7 +115,7 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::Create(
   snapshot->model_ = std::move(model);
   snapshot->factor_views_ = MakeFactorViews(snapshot->model_.factors);
   snapshot->core_list_ = CoreEntryList(snapshot->model_.core);
-  snapshot->engine_ = std::make_unique<TiledDeltaEngine>(
+  snapshot->engine_ = std::make_unique<ModeMajorDeltaEngine>(
       snapshot->core_list_, snapshot->factor_views_, tracker, tile_width);
   return snapshot;
 }
@@ -135,7 +135,7 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::CreateFromFile(
   snapshot->factor_views_ = file.factors();
   snapshot->core_list_ =
       CoreEntryList(file.order(), file.core_indices(), file.core_values());
-  snapshot->engine_ = std::make_unique<TiledDeltaEngine>(
+  snapshot->engine_ = std::make_unique<ModeMajorDeltaEngine>(
       snapshot->core_list_, snapshot->factor_views_, tracker, tile_width);
   return snapshot;
 }

@@ -22,7 +22,7 @@
 namespace ptucker {
 
 /// An immutable, query-ready view of a fitted model: its factor views
-/// plus the CoreEntryList and TiledDeltaEngine built over them once at
+/// plus the CoreEntryList and ModeMajorDeltaEngine built over them once at
 /// load time, so every query amortizes the engine's mode-major views
 /// instead of rebuilding them. Two backings share the interface:
 /// Create() owns a TuckerFactorization, CreateFromFile() pins an

@@ -79,9 +79,8 @@ IngestPipeline::IngestPipeline(SparseTensor tensor, TuckerFactorization model,
     throw std::invalid_argument("ingest: ops_already_applied must be >= 0");
   }
 
-  engine_choice_ = options_.delta_engine == DeltaEngineChoice::kAuto
-                       ? DeltaEngineChoice::kModeMajor
-                       : options_.delta_engine;
+  engine_choice_ =
+      ResolveDeltaEngineChoice(options_.delta_engine, PTuckerVariant::kMemory);
   if (!options_.checkpoint_dir.empty()) {
     std::filesystem::create_directories(options_.checkpoint_dir);
   }

@@ -37,12 +37,14 @@ struct IngestOptions {
   /// produced the initial model).
   double lambda = 0.01;
 
-  /// δ-engine for the re-solves. kAuto picks kModeMajor. kCached
+  /// δ-engine for the re-solves, resolved like the solver's
+  /// (ResolveDeltaEngineChoice with the kMemory variant: kAuto picks
+  /// kModeMajor at `tile_width`). kCached
   /// rebuilds its Pres table whenever Ω changes structurally (the table
   /// is keyed by entry ids).
   DeltaEngineChoice delta_engine = DeltaEngineChoice::kAuto;
 
-  /// ε of kAdaptive (exact at 0) and tile width of kTiled.
+  /// ε (exact at 0) and tile width of the kModeMajor engine.
   double adaptive_epsilon = 0.0;
   std::int64_t tile_width = kDefaultTileWidth;
 

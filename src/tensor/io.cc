@@ -42,8 +42,12 @@ bool ParseLine(const std::string& line, std::int64_t line_number,
   entry->index.clear();
   for (std::size_t k = 0; k + 1 < tokens.size(); ++k) {
     const double raw = tokens[k];
+    // Range first: casting a double outside int64 (or NaN) is undefined.
+    if (!(raw >= 1.0 && raw <= static_cast<double>(kMaxTnsIndex))) {
+      ThrowParse(line_number, "index must be in [1, 2^53]");
+    }
     const std::int64_t one_based = static_cast<std::int64_t>(raw);
-    if (static_cast<double>(one_based) != raw || one_based < 1) {
+    if (static_cast<double>(one_based) != raw) {
       ThrowParse(line_number, "index must be a positive integer");
     }
     entry->index.push_back(one_based - 1);
@@ -66,6 +70,15 @@ SparseTensor BuildFromEntries(const std::vector<ParsedEntry>& entries,
     for (const auto& entry : entries) {
       for (std::size_t k = 0; k < order; ++k) {
         resolved[k] = std::max(resolved[k], entry.index[k] + 1);
+      }
+    }
+    for (std::size_t k = 0; k < order; ++k) {
+      if (resolved[k] > kMaxInferredTnsDim) {
+        throw std::runtime_error(
+            "tns parse error: inferred dim " + std::to_string(resolved[k]) +
+            " of mode " + std::to_string(k) +
+            " exceeds kMaxInferredTnsDim (" +
+            std::to_string(kMaxInferredTnsDim) + "); pass explicit dims");
       }
     }
   }

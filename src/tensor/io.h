@@ -1,6 +1,7 @@
 #ifndef PTUCKER_TENSOR_IO_H_
 #define PTUCKER_TENSOR_IO_H_
 
+#include <cstdint>
 #include <string>
 
 #include "tensor/sparse_tensor.h"
@@ -13,6 +14,19 @@ namespace ptucker {
 ///
 /// All readers throw std::runtime_error with a line-numbered message on
 /// malformed input.
+
+/// Largest `.tns` index accepted (1-based): 2^53, the largest integer
+/// range a double token represents exactly. Larger, fractional, NaN or
+/// non-positive indices are rejected with a line-numbered parse error.
+inline constexpr std::int64_t kMaxTnsIndex = std::int64_t{1} << 53;
+
+/// Largest mode dimensionality ReadTns / ParseTns infer from the indices
+/// when no `dims` are given: 2^27 rows (above every FROSTT tensor's
+/// largest mode). A bigger inferred dim — one stray huge index — would
+/// size the mode index and factor matrices past any memory, so it fails
+/// with a parse error naming this budget instead of std::bad_alloc.
+/// Callers that really need larger modes pass `dims` explicitly.
+inline constexpr std::int64_t kMaxInferredTnsDim = std::int64_t{1} << 27;
 
 /// Reads a `.tns` file. Mode dimensionalities are the per-mode maximum
 /// index unless `dims` is non-empty, in which case indices are validated

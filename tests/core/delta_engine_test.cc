@@ -1,13 +1,14 @@
 // Equivalence and maintenance tests for the pluggable δ-engines: the
-// mode-major, cached, adaptive (ε = 0) and tiled (B ∈ {1, 4, 32}) engines
+// mode-major engine (tile width B ∈ {1, 4, 32, 64}) and the cached engine
 // must agree with the naive entry-major oracle on every kernel, stay
 // consistent through core-list mutations (Remove, RefreshValues) and
 // factor updates, and hold across thread counts. Every batch entry point
 // (DeltaBatch, ReconstructBatch, ProductsBatch) must equal its per-entry
-// loop on every engine, adaptive ε > 0 must stay inside its documented
-// error budget, and the solver-level guarantees are pinned: exact engines
-// produce the same trajectories — including the batched truncation and
-// metric paths at every tile width — each bit-reproducibly.
+// loop on every engine, the group skip at ε > 0 must stay inside its
+// documented error budget, and the solver-level guarantees are pinned:
+// exact engines produce the same trajectories — including the batched
+// truncation and metric paths at every tile width — each
+// bit-reproducibly.
 #include "core/delta_engine.h"
 
 #include <cmath>
@@ -81,26 +82,23 @@ Ctx MakeCtx(std::int64_t order, std::int64_t rank, std::uint64_t seed) {
 
 struct Engines {
   NaiveDeltaEngine naive;
-  ModeMajorDeltaEngine mode_major;
+  ModeMajorDeltaEngine mode_major;  // B = 1: the per-entry scan
   CachedDeltaEngine cached;
-  AdaptiveDeltaEngine adaptive0;  // ε = 0: must be bit-identical
-  TiledDeltaEngine tiled1;
-  TiledDeltaEngine tiled4;
-  TiledDeltaEngine tiled32;
+  ModeMajorDeltaEngine tiled4;
+  ModeMajorDeltaEngine tiled32;
+  ModeMajorDeltaEngine tiled64;
 
   explicit Engines(const Ctx& s)
       : naive(s.list, s.factors),
-        mode_major(s.list, s.factors, nullptr),
+        mode_major(s.list, s.factors, nullptr, 1),
         cached(s.x, s.list, s.factors, nullptr),
-        adaptive0(s.list, s.factors, nullptr, 0.0),
-        tiled1(s.list, s.factors, nullptr, 1),
         tiled4(s.list, s.factors, nullptr, 4),
-        tiled32(s.list, s.factors, nullptr, 32) {}
+        tiled32(s.list, s.factors, nullptr, 32),
+        tiled64(s.list, s.factors, nullptr, 64) {}
 
   // The engines with derived state, for broadcasting the mutation hooks.
   std::vector<DeltaEngine*> All() {
-    return {&naive,  &mode_major, &cached, &adaptive0,
-            &tiled1, &tiled4,     &tiled32};
+    return {&naive, &mode_major, &cached, &tiled4, &tiled32, &tiled64};
   }
 };
 
@@ -135,7 +133,7 @@ void ExpectBatchMatchesLoop(const Ctx& s, const DeltaEngine& engine) {
 
 // ReconstructBatch over every observed entry at once must equal the
 // per-entry Reconstruct loop bit-for-bit — for every engine, including
-// partial final tiles and (for the tiled engine at B >= its SIMD
+// partial final tiles and (for the mode-major engine at B >= its SIMD
 // threshold) the packed SIMD reconstruct kernel.
 void ExpectReconstructBatchMatchesLoop(const Ctx& s,
                                        const DeltaEngine& engine) {
@@ -177,16 +175,15 @@ void ExpectProductsBatchMatchesLoop(const Ctx& s, const DeltaEngine& engine) {
 }
 
 // Asserts every engine kernel agrees with the naive oracle within 1e-12
-// over all observed entries, that the regrouped derivatives (adaptive at
-// ε = 0, tiled at every width) are bit-identical to mode-major, and that
-// every batch entry point equals its per-entry loop on every engine.
+// over all observed entries, that the mode-major engine is bit-identical
+// at every tile width, and that every batch entry point equals its
+// per-entry loop on every engine.
 void ExpectEnginesAgree(const Ctx& s, const Engines& e) {
   {
     const std::int64_t order = s.x.order();
     std::vector<double> reference;
     std::vector<double> actual;
-    const DeltaEngine* regrouped[] = {&e.adaptive0, &e.tiled1, &e.tiled4,
-                                      &e.tiled32};
+    const DeltaEngine* regrouped[] = {&e.tiled4, &e.tiled32, &e.tiled64};
     for (std::int64_t entry = 0; entry < s.x.nnz(); ++entry) {
       for (std::int64_t mode = 0; mode < order; ++mode) {
         const std::int64_t rank = s.core.dim(mode);
@@ -207,8 +204,7 @@ void ExpectEnginesAgree(const Ctx& s, const Engines& e) {
     }
   }
   const DeltaEngine* all_engines[] = {&e.naive,  &e.mode_major, &e.cached,
-                                      &e.adaptive0, &e.tiled1,  &e.tiled4,
-                                      &e.tiled32};
+                                      &e.tiled4, &e.tiled32,    &e.tiled64};
   for (const DeltaEngine* engine : all_engines) {
     ExpectBatchMatchesLoop(s, *engine);
     ExpectReconstructBatchMatchesLoop(s, *engine);
@@ -367,7 +363,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(DeltaEngineTest, AdaptiveStaysWithinErrorBudget) {
-  // The adaptive engine's documented bound: per (entry, mode), the summed
+  // The group skip's documented bound: per (entry, mode), the summed
   // absolute δ error is at most ε · Σ_β |G_β| · max|A|^(N−1) — the skipped
   // groups' magnitude mass times the largest possible factor product.
   Ctx s = MakeCtx(3, 5, 23);
@@ -386,7 +382,7 @@ TEST(DeltaEngineTest, AdaptiveStaysWithinErrorBudget) {
     }
   }
   for (const double eps : {0.05, 0.45}) {
-    AdaptiveDeltaEngine adaptive(s.list, s.factors, nullptr, eps);
+    ModeMajorDeltaEngine adaptive(s.list, s.factors, nullptr, 1, eps);
     const double bound =
         eps * total_mass * std::pow(max_factor, static_cast<double>(order - 1));
     for (std::int64_t entry = 0; entry < s.x.nnz(); ++entry) {
@@ -410,16 +406,15 @@ TEST(DeltaEngineTest, AdaptiveStaysWithinErrorBudget) {
 
 TEST(DeltaEngineTest, AdaptiveSkipsGroupsOnlyAtPositiveEpsilon) {
   Ctx s = MakeCtx(3, 5, 29);
-  AdaptiveDeltaEngine exact(s.list, s.factors, nullptr, 0.0);
-  AdaptiveDeltaEngine lossy(s.list, s.factors, nullptr, 0.45);
+  ModeMajorDeltaEngine exact(s.list, s.factors, nullptr, 1, 0.0);
+  ModeMajorDeltaEngine lossy(s.list, s.factors, nullptr, 1, 0.45);
   std::int64_t exact_skips = 0;
   std::int64_t lossy_skips = 0;
   for (std::int64_t mode = 0; mode < s.x.order(); ++mode) {
     exact_skips += exact.SkippedGroups(mode);
     lossy_skips += lossy.SkippedGroups(mode);
   }
-  // At ε = 0 only zero-weight (empty) groups may be flagged, and the core
-  // list holds only nonzeros, so a non-degenerate core skips nothing.
+  // At ε = 0 nothing is flagged at all.
   EXPECT_EQ(exact_skips, 0);
   EXPECT_GT(lossy_skips, 0);
   EXPECT_EQ(lossy.epsilon(), 0.45);
@@ -428,7 +423,7 @@ TEST(DeltaEngineTest, AdaptiveSkipsGroupsOnlyAtPositiveEpsilon) {
 TEST(DeltaEngineTest, CatalogCoversEveryChoiceAndParsesNames) {
   // One row per enumerator, names round-trip, alias resolves, unknown
   // names are rejected — the CLI parser and --help both lean on this.
-  EXPECT_EQ(DeltaEngineCatalog().size(), 6u);
+  EXPECT_EQ(DeltaEngineCatalog().size(), 4u);
   for (const DeltaEngineDescriptor& descriptor : DeltaEngineCatalog()) {
     const DeltaEngineDescriptor* found =
         FindDeltaEngineByName(descriptor.name);
@@ -439,7 +434,11 @@ TEST(DeltaEngineTest, CatalogCoversEveryChoiceAndParsesNames) {
   const DeltaEngineDescriptor* alias = FindDeltaEngineByName("cached");
   ASSERT_NE(alias, nullptr);
   EXPECT_EQ(alias->choice, DeltaEngineChoice::kCached);
+  const DeltaEngineDescriptor* tiled = FindDeltaEngineByName("tiled");
+  ASSERT_NE(tiled, nullptr);
+  EXPECT_EQ(tiled->choice, DeltaEngineChoice::kModeMajor);
   EXPECT_EQ(FindDeltaEngineByName("warp"), nullptr);
+  EXPECT_EQ(FindDeltaEngineByName("adaptive"), nullptr);
 }
 
 TEST(DeltaEngineTest, ModeMajorDeltaIsBitIdenticalToNaive) {
@@ -499,28 +498,101 @@ TEST(DeltaEngineTest, FactoryResolvesAutoFromVariant) {
   EXPECT_EQ(ResolveDeltaEngineChoice(options), DeltaEngineChoice::kNaive);
 
   Ctx s = MakeCtx(3, 2, 11);
-  const auto engine = MakeDeltaEngine(DeltaEngineChoice::kModeMajor, s.x,
-                                      s.list, s.factors, nullptr);
+  const auto engine =
+      MakeDeltaEngine(DeltaEngineChoice::kModeMajor, s.x, s.list, s.factors,
+                      nullptr, /*adaptive_epsilon=*/0.0, /*tile_width=*/1);
   EXPECT_EQ(engine->kind(), DeltaEngineChoice::kModeMajor);
   EXPECT_STREQ(engine->name(), "modemajor");
   EXPECT_EQ(engine->PreferredBatch(), 1);
 
   const auto adaptive =
-      MakeDeltaEngine(DeltaEngineChoice::kAdaptive, s.x, s.list, s.factors,
+      MakeDeltaEngine(DeltaEngineChoice::kModeMajor, s.x, s.list, s.factors,
                       nullptr, /*adaptive_epsilon=*/0.2);
-  EXPECT_EQ(adaptive->kind(), DeltaEngineChoice::kAdaptive);
-  EXPECT_STREQ(adaptive->name(), "adaptive");
+  EXPECT_EQ(adaptive->kind(), DeltaEngineChoice::kModeMajor);
+  EXPECT_EQ(static_cast<const ModeMajorDeltaEngine&>(*adaptive).epsilon(),
+            0.2);
 
   const auto tiled =
-      MakeDeltaEngine(DeltaEngineChoice::kTiled, s.x, s.list, s.factors,
+      MakeDeltaEngine(DeltaEngineChoice::kModeMajor, s.x, s.list, s.factors,
                       nullptr, /*adaptive_epsilon=*/0.0, /*tile_width=*/32);
-  EXPECT_EQ(tiled->kind(), DeltaEngineChoice::kTiled);
-  EXPECT_STREQ(tiled->name(), "tiled");
+  EXPECT_EQ(tiled->kind(), DeltaEngineChoice::kModeMajor);
   EXPECT_EQ(tiled->PreferredBatch(), 32);
 
   // Wider-than-kMaxTile requests are clamped, not rejected.
-  const TiledDeltaEngine clamped(s.list, s.factors, nullptr, 10000);
-  EXPECT_EQ(clamped.PreferredBatch(), TiledDeltaEngine::kMaxTile);
+  const ModeMajorDeltaEngine clamped(s.list, s.factors, nullptr, 10000);
+  EXPECT_EQ(clamped.PreferredBatch(), ModeMajorDeltaEngine::kMaxTile);
+}
+
+TEST(DeltaEngineTest, AutoResolvesToModeMajorAtWidth64) {
+  // What PTuckerDecompose, the distributed solver and the ingest pipeline
+  // build when nothing is pinned: the mode-major engine at the default
+  // tile width of 64, exact.
+  const PTuckerOptions options;
+  EXPECT_EQ(kDefaultTileWidth, 64);
+  ASSERT_EQ(ResolveDeltaEngineChoice(options), DeltaEngineChoice::kModeMajor);
+  EXPECT_EQ(ResolveDeltaEngineChoice(DeltaEngineChoice::kAuto,
+                                     PTuckerVariant::kMemory),
+            DeltaEngineChoice::kModeMajor);
+  EXPECT_EQ(ResolveDeltaEngineChoice(DeltaEngineChoice::kAuto,
+                                     PTuckerVariant::kApprox),
+            DeltaEngineChoice::kModeMajor);
+  Ctx s = MakeCtx(3, 2, 12);
+  const auto engine = MakeDeltaEngine(
+      ResolveDeltaEngineChoice(options), s.x, s.list, s.factors, nullptr,
+      options.adaptive_epsilon, options.tile_width);
+  EXPECT_EQ(engine->kind(), DeltaEngineChoice::kModeMajor);
+  EXPECT_EQ(engine->PreferredBatch(), 64);
+  EXPECT_EQ(static_cast<const ModeMajorDeltaEngine&>(*engine).epsilon(), 0.0);
+}
+
+TEST(DeltaEngineTest, DeltaBatchMatchesComputeDeltaAtEveryWidthAndEpsilon) {
+  // The tile kernels (scalar below kSimdMinTile, packed SIMD from it on)
+  // honor the group-skip flags exactly like the per-entry kernel, so
+  // DeltaBatch at any B equals ComputeDelta at the same ε bit for bit.
+  for (const std::int64_t order : {3, 4}) {
+    Ctx s = MakeCtx(order, 5, 51 + static_cast<std::uint64_t>(order));
+    for (const double eps : {0.0, 0.2}) {
+      const ModeMajorDeltaEngine per_entry(s.list, s.factors, nullptr, 1,
+                                           eps);
+      if (eps > 0.0) {
+        std::int64_t skipped = 0;
+        for (std::int64_t mode = 0; mode < order; ++mode) {
+          skipped += per_entry.SkippedGroups(mode);
+        }
+        EXPECT_GT(skipped, 0) << "order " << order;
+      }
+      for (const std::int64_t tile :
+           {std::int64_t{1}, std::int64_t{4}, std::int64_t{32},
+            std::int64_t{64}}) {
+        const ModeMajorDeltaEngine engine(s.list, s.factors, nullptr, tile,
+                                          eps);
+        const std::int64_t nnz = s.x.nnz();
+        std::vector<std::int64_t> entries(static_cast<std::size_t>(nnz));
+        std::vector<const std::int64_t*> indices(
+            static_cast<std::size_t>(nnz));
+        for (std::int64_t e = 0; e < nnz; ++e) {
+          entries[static_cast<std::size_t>(e)] = e;
+          indices[static_cast<std::size_t>(e)] = s.x.index(e);
+        }
+        for (std::int64_t mode = 0; mode < order; ++mode) {
+          const std::int64_t rank = s.core.dim(mode);
+          std::vector<double> batched(static_cast<std::size_t>(nnz * rank));
+          engine.DeltaBatch(nnz, entries.data(), indices.data(), mode,
+                            batched.data());
+          std::vector<double> single(static_cast<std::size_t>(rank));
+          for (std::int64_t e = 0; e < nnz; ++e) {
+            per_entry.ComputeDelta(e, s.x.index(e), mode, single.data());
+            for (std::int64_t j = 0; j < rank; ++j) {
+              EXPECT_EQ(batched[static_cast<std::size_t>(e * rank + j)],
+                        single[static_cast<std::size_t>(j)])
+                  << "order " << order << " eps " << eps << " tile " << tile
+                  << " entry " << e << " mode " << mode;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(DeltaEngineTest, TruncationKeepsEnginesConsistent) {
@@ -555,14 +627,14 @@ TEST(DeltaEngineTest, BatchedMetricsMatchPerEntryBitForBit) {
   // widths that exercise the packed SIMD kernel (B >= kSimdMinTile) and
   // partial trailing tiles (nnz is no multiple of any width here).
   Ctx s = MakeCtx(3, 5, 37);
-  ModeMajorDeltaEngine mode_major(s.list, s.factors, nullptr);
+  ModeMajorDeltaEngine mode_major(s.list, s.factors, nullptr, 1);
   const double expected_error = ReconstructionError(s.x, mode_major);
   const double expected_rmse = TestRmse(s.x, mode_major);
   const std::vector<double> expected_pred = PredictEntries(s.x, mode_major);
   for (const std::int64_t tile :
        {std::int64_t{1}, std::int64_t{4}, std::int64_t{32},
         std::int64_t{33}}) {
-    const TiledDeltaEngine tiled(s.list, s.factors, nullptr, tile);
+    const ModeMajorDeltaEngine tiled(s.list, s.factors, nullptr, tile);
     EXPECT_EQ(ReconstructionError(s.x, tiled), expected_error)
         << "tile " << tile;
     EXPECT_EQ(TestRmse(s.x, tiled), expected_rmse) << "tile " << tile;
@@ -573,7 +645,8 @@ TEST(DeltaEngineTest, BatchedMetricsMatchPerEntryBitForBit) {
                                            << i;
     }
   }
-  const AdaptiveDeltaEngine adaptive0(s.list, s.factors, nullptr, 0.0);
+  const ModeMajorDeltaEngine adaptive0(s.list, s.factors, nullptr,
+                                       kDefaultTileWidth, 0.0);
   EXPECT_EQ(ReconstructionError(s.x, adaptive0), expected_error);
 }
 
@@ -583,12 +656,12 @@ TEST(DeltaEngineTest, BatchedPartialErrorsMatchPerEntryBitForBit) {
   // tile widths, and the per-thread tile scratch must be charged to the
   // tracker only for the duration of the scan.
   Ctx s = MakeCtx(4, 5, 41);
-  ModeMajorDeltaEngine mode_major(s.list, s.factors, nullptr);
+  ModeMajorDeltaEngine mode_major(s.list, s.factors, nullptr, 1);
   const std::vector<double> expected =
       ComputePartialErrors(s.x, s.list, s.factors, &mode_major);
   for (const std::int64_t tile :
        {std::int64_t{1}, std::int64_t{4}, std::int64_t{32}}) {
-    const TiledDeltaEngine tiled(s.list, s.factors, nullptr, tile);
+    const ModeMajorDeltaEngine tiled(s.list, s.factors, nullptr, tile);
     MemoryTracker tracker;
     const std::vector<double> scores =
         ComputePartialErrors(s.x, s.list, s.factors, &tiled, &tracker);
@@ -644,18 +717,21 @@ TEST_F(DeltaEngineTrajectories, AllEnginesProduceTheSameTrajectory) {
 }
 
 TEST_F(DeltaEngineTrajectories, RegroupedEnginesMatchModeMajorBitForBit) {
-  // Adaptive at ε = 0 and tiled at any width compute bit-identical δ and
-  // consume it in the same entry order, so whole solver trajectories —
-  // not just single kernels — must match mode-major exactly.
-  const PTuckerResult mode_major = Solve(x_, DeltaEngineChoice::kModeMajor);
+  // The mode-major engine at ε = 0 computes bit-identical δ at any tile
+  // width and the row update consumes it in the same entry order, so
+  // whole solver trajectories — not just single kernels — must match the
+  // per-entry (B = 1) flow exactly.
+  const PTuckerResult mode_major = Solve(
+      x_, DeltaEngineChoice::kModeMajor, PTuckerVariant::kMemory, false, 0.0,
+      /*tile_width=*/1);
   const PTuckerResult adaptive =
-      Solve(x_, DeltaEngineChoice::kAdaptive, PTuckerVariant::kMemory, false,
+      Solve(x_, DeltaEngineChoice::kModeMajor, PTuckerVariant::kMemory, false,
             /*adaptive_epsilon=*/0.0);
-  for (const std::int64_t tile : {std::int64_t{1}, std::int64_t{4},
-                                  std::int64_t{32}}) {
+  for (const std::int64_t tile : {std::int64_t{4}, std::int64_t{32},
+                                  std::int64_t{64}}) {
     const PTuckerResult tiled =
-        Solve(x_, DeltaEngineChoice::kTiled, PTuckerVariant::kMemory, false,
-              0.0, tile);
+        Solve(x_, DeltaEngineChoice::kModeMajor, PTuckerVariant::kMemory,
+              false, 0.0, tile);
     ASSERT_EQ(tiled.iterations.size(), mode_major.iterations.size());
     for (std::size_t i = 0; i < tiled.iterations.size(); ++i) {
       EXPECT_EQ(tiled.iterations[i].error, mode_major.iterations[i].error)
@@ -675,10 +751,11 @@ TEST_F(DeltaEngineTrajectories, TiledTruncationTrajectoriesMatchModeMajor) {
   // tiled. The scores, the removal sets, and the error trajectory must
   // stay bit-identical to the mode-major per-entry flow at every width.
   const PTuckerResult mode_major =
-      Solve(x_, DeltaEngineChoice::kModeMajor, PTuckerVariant::kApprox);
+      Solve(x_, DeltaEngineChoice::kModeMajor, PTuckerVariant::kApprox, false,
+            0.0, /*tile_width=*/1);
   for (const std::int64_t tile :
-       {std::int64_t{1}, std::int64_t{4}, std::int64_t{32}}) {
-    const PTuckerResult tiled = Solve(x_, DeltaEngineChoice::kTiled,
+       {std::int64_t{4}, std::int64_t{32}, std::int64_t{64}}) {
+    const PTuckerResult tiled = Solve(x_, DeltaEngineChoice::kModeMajor,
                                       PTuckerVariant::kApprox, false, 0.0,
                                       tile);
     ASSERT_EQ(tiled.iterations.size(), mode_major.iterations.size());
@@ -699,7 +776,7 @@ TEST_F(DeltaEngineTrajectories, AdaptiveWithBudgetTradesBoundedAccuracy) {
   // as the exact engine (the documented speed-for-accuracy trade).
   const PTuckerResult exact = Solve(x_, DeltaEngineChoice::kModeMajor);
   const PTuckerResult lossy =
-      Solve(x_, DeltaEngineChoice::kAdaptive, PTuckerVariant::kMemory, false,
+      Solve(x_, DeltaEngineChoice::kModeMajor, PTuckerVariant::kMemory, false,
             /*adaptive_epsilon=*/0.4);
   ASSERT_EQ(lossy.iterations.size(), exact.iterations.size());
   for (std::size_t i = 0; i < lossy.iterations.size(); ++i) {
@@ -710,13 +787,19 @@ TEST_F(DeltaEngineTrajectories, AdaptiveWithBudgetTradesBoundedAccuracy) {
 }
 
 TEST_F(DeltaEngineTrajectories, EachEngineIsRunToRunDeterministic) {
-  for (const DeltaEngineChoice choice :
-       {DeltaEngineChoice::kNaive, DeltaEngineChoice::kModeMajor,
-        DeltaEngineChoice::kCached, DeltaEngineChoice::kAdaptive,
-        DeltaEngineChoice::kTiled}) {
-    // Give the lossy/batched engines non-trivial knobs so determinism is
+  struct Run {
+    DeltaEngineChoice choice;
+    double eps;
+  };
+  for (const Run run :
+       {Run{DeltaEngineChoice::kNaive, 0.0},
+        Run{DeltaEngineChoice::kModeMajor, 0.0},
+        Run{DeltaEngineChoice::kCached, 0.0},
+        Run{DeltaEngineChoice::kModeMajor, 0.4}}) {
+    // Give the lossy/batched engine non-trivial knobs so determinism is
     // exercised on the interesting code paths.
-    const double eps = choice == DeltaEngineChoice::kAdaptive ? 0.4 : 0.0;
+    const DeltaEngineChoice choice = run.choice;
+    const double eps = run.eps;
     const PTuckerResult a =
         Solve(x_, choice, PTuckerVariant::kMemory, false, eps, 4);
     const PTuckerResult b =

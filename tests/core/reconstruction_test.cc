@@ -111,9 +111,9 @@ TEST(PredictEntriesTest, EngineOverloadMatchesDenseOverload) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(via_naive[i], expected[i]);
   }
-  const ModeMajorDeltaEngine mode_major(list, s.factors, nullptr);
+  const ModeMajorDeltaEngine mode_major(list, s.factors, nullptr, 1);
   const auto via_mode_major = PredictEntries(s.x, mode_major);
-  const TiledDeltaEngine tiled(list, s.factors, nullptr, 16);
+  const ModeMajorDeltaEngine tiled(list, s.factors, nullptr, 16);
   const auto via_tiled = PredictEntries(s.x, tiled);
   ASSERT_EQ(via_tiled.size(), via_mode_major.size());
   for (std::size_t i = 0; i < via_tiled.size(); ++i) {
@@ -130,8 +130,8 @@ TEST(TestRmseTest, TiledEngineMatchesModeMajorOnHeldOutCoordinates) {
   Rng rng(11);
   const SparseTensor held_out = UniformSparseTensor({7, 6, 5}, 40, rng);
   const CoreEntryList list(s.core);
-  const ModeMajorDeltaEngine mode_major(list, s.factors, nullptr);
-  const TiledDeltaEngine tiled(list, s.factors, nullptr, 32);
+  const ModeMajorDeltaEngine mode_major(list, s.factors, nullptr, 1);
+  const ModeMajorDeltaEngine tiled(list, s.factors, nullptr, 32);
   EXPECT_EQ(TestRmse(held_out, tiled), TestRmse(held_out, mode_major));
   EXPECT_NEAR(TestRmse(held_out, tiled),
               TestRmse(held_out, s.core, s.factors), 1e-10);

@@ -67,13 +67,21 @@ void ExpectSameMatrix(const Matrix& a, const Matrix& b) {
 }
 
 TEST(RowUpdateTest, NullRowsEqualsExplicitAllRows) {
-  for (const DeltaEngineChoice choice :
-       {DeltaEngineChoice::kNaive, DeltaEngineChoice::kModeMajor,
-        DeltaEngineChoice::kCached, DeltaEngineChoice::kAdaptive,
-        DeltaEngineChoice::kTiled}) {
+  struct Engine {
+    DeltaEngineChoice choice;
+    double eps;
+    std::int64_t tile_width;
+  };
+  for (const Engine config :
+       {Engine{DeltaEngineChoice::kNaive, 0.0, kDefaultTileWidth},
+        Engine{DeltaEngineChoice::kModeMajor, 0.0, 1},
+        Engine{DeltaEngineChoice::kCached, 0.0, kDefaultTileWidth},
+        Engine{DeltaEngineChoice::kModeMajor, 0.2, kDefaultTileWidth},
+        Engine{DeltaEngineChoice::kModeMajor, 0.0, kDefaultTileWidth}}) {
     Ctx ctx = MakeCtx(11);
-    const auto engine = MakeDeltaEngine(choice, ctx.x, *ctx.list,
-                                        ctx.factors, nullptr);
+    const auto engine =
+        MakeDeltaEngine(config.choice, ctx.x, *ctx.list, ctx.factors, nullptr,
+                        config.eps, config.tile_width);
     for (std::int64_t mode = 0; mode < 3; ++mode) {
       Matrix full = ctx.factors[static_cast<std::size_t>(mode)];
       Matrix listed = full;
@@ -139,8 +147,9 @@ TEST(RowUpdateTest, DeterministicAcrossThreadCountsAndScheduling) {
     for (const Scheduling scheduling :
          {Scheduling::kDynamic, Scheduling::kStatic}) {
       Ctx ctx = MakeCtx(13);
-      const auto engine = MakeDeltaEngine(DeltaEngineChoice::kTiled, ctx.x,
-                                          *ctx.list, ctx.factors, nullptr);
+      const auto engine = MakeDeltaEngine(DeltaEngineChoice::kModeMajor,
+                                          ctx.x, *ctx.list, ctx.factors,
+                                          nullptr);
       Matrix factor = ctx.factors[0];
       RowUpdateOptions options;
       ThreadCountGuard ambient(threads);

@@ -55,18 +55,29 @@ void ExpectBitIdentical(const PTuckerResult& expected,
 }
 
 TEST(DistSolverTest, EveryEngineAndWorkerCountMatchesSingleProcessBitwise) {
-  // The property sweep: random tensor x workers {1, 2, 3, 8} x all five
-  // δ-engines, in-process transport, EXPECT_EQ against the one-process
+  // The property sweep: random tensor x workers {1, 2, 3, 8} x every
+  // δ-engine (mode-major at tile widths 1 and 64, and with its group skip
+  // at ε = 0.2), in-process transport, EXPECT_EQ against the one-process
   // trajectory. Fixed reduction lanes + rank-ordered merges make this an
   // equality, not a tolerance.
   const SparseTensor x = TestTensor(11);
-  const DeltaEngineChoice engines[] = {
-      DeltaEngineChoice::kNaive, DeltaEngineChoice::kModeMajor,
-      DeltaEngineChoice::kCached, DeltaEngineChoice::kAdaptive,
-      DeltaEngineChoice::kTiled};
-  for (const DeltaEngineChoice engine : engines) {
+  struct Engine {
+    DeltaEngineChoice choice;
+    double eps;
+    std::int64_t tile_width;
+  };
+  const Engine engines[] = {
+      {DeltaEngineChoice::kNaive, 0.0, kDefaultTileWidth},
+      {DeltaEngineChoice::kModeMajor, 0.0, 1},
+      {DeltaEngineChoice::kCached, 0.0, kDefaultTileWidth},
+      {DeltaEngineChoice::kModeMajor, 0.2, kDefaultTileWidth},
+      {DeltaEngineChoice::kModeMajor, 0.0, kDefaultTileWidth}};
+  for (const Engine& config : engines) {
+    const DeltaEngineChoice engine = config.choice;
     PTuckerOptions options = TestOptions();
     options.delta_engine = engine;
+    options.adaptive_epsilon = config.eps;
+    options.tile_width = config.tile_width;
     const PTuckerResult expected = PTuckerDecompose(x, options);
     for (const std::int64_t workers : {1, 2, 3, 8}) {
       DistOptions dist;

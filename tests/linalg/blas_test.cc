@@ -1,5 +1,8 @@
 #include "linalg/blas.h"
 
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/random.h"
@@ -103,6 +106,40 @@ TEST(BlasTest, SymmetricRank1UpdateKeepsSymmetry) {
   for (std::int64_t i = 0; i < 5; ++i) {
     for (std::int64_t j = 0; j < 5; ++j) {
       EXPECT_DOUBLE_EQ(b(i, j), b(j, i));
+    }
+  }
+}
+
+TEST(BlasTest, SymmetricTileUpdateMatchesRank1SequenceBitForBit) {
+  // The tile Gram kernel must reproduce the per-entry rank-1 sequence
+  // exactly — including across several tiles into the same B, and with
+  // exact zeros (the rank-1 kernel skips those rows), negative zeros and
+  // negative components in the δ rows.
+  for (const std::int64_t n : {1, 3, 8, 13}) {
+    for (const std::int64_t tile : {1, 7, 64}) {
+      Rng rng(static_cast<std::uint64_t>(100 * n + tile));
+      const std::int64_t tiles = 3;
+      std::vector<double> x(static_cast<std::size_t>(tiles * tile * n));
+      for (std::size_t k = 0; k < x.size(); ++k) {
+        const double u = rng.Uniform();
+        x[k] = u < 0.15 ? 0.0 : (u < 0.2 ? -0.0 : rng.Normal());
+      }
+      Matrix expected(n, n);
+      Matrix actual(n, n);
+      for (std::int64_t t = 0; t < tiles * tile; ++t) {
+        SymmetricRank1Update(expected, x.data() + t * n);
+      }
+      for (std::int64_t t = 0; t < tiles; ++t) {
+        SymmetricTileUpdate(actual, x.data() + t * tile * n, tile);
+      }
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          EXPECT_EQ(actual(i, j), expected(i, j))
+              << "n " << n << " tile " << tile << " at " << i << "," << j;
+          EXPECT_EQ(std::signbit(actual(i, j)), std::signbit(expected(i, j)))
+              << "n " << n << " tile " << tile << " at " << i << "," << j;
+        }
+      }
     }
   }
 }

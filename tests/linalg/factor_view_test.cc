@@ -103,15 +103,15 @@ TEST(FactorViewTest, ViewBuiltEnginesMatchMatrixBuiltEnginesExactly) {
     compare(by_matrix, by_view);
   }
   {
-    const AdaptiveDeltaEngine by_matrix(list, factors, nullptr, 0.0);
-    const AdaptiveDeltaEngine by_view(list, MakeFactorViews(factors), nullptr,
-                                      0.0);
+    const ModeMajorDeltaEngine by_matrix(list, factors, nullptr, 1, 0.0);
+    const ModeMajorDeltaEngine by_view(list, MakeFactorViews(factors),
+                                       nullptr, 1, 0.0);
     compare(by_matrix, by_view);
   }
   {
-    const TiledDeltaEngine by_matrix(list, factors, nullptr, 32);
-    const TiledDeltaEngine by_view(list, MakeFactorViews(factors), nullptr,
-                                   32);
+    const ModeMajorDeltaEngine by_matrix(list, factors, nullptr, 32);
+    const ModeMajorDeltaEngine by_view(list, MakeFactorViews(factors),
+                                       nullptr, 32);
     compare(by_matrix, by_view);
   }
 }

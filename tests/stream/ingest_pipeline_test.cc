@@ -2,7 +2,7 @@
 // property layer drives random append/update/delete interleavings
 // through every δ-engine and pins the determinism contract: final
 // factors are bit-identical across thread counts {1, 4, 13}, across the
-// regrouped exact engines (mode-major / adaptive ε = 0 / tiled), and
+// mode-major engine's tile widths {1, 4, 64}, and
 // across a restart from any flush boundary — the live Ω always equals a
 // structural replay of the event prefix. The fault-injection layer
 // crashes the pipeline in the window between checkpoint durability and
@@ -132,10 +132,11 @@ struct RunResult {
 RunResult RunPipeline(const SparseTensor& initial,
                       const TuckerFactorization& model,
                       const std::vector<StreamEvent>& events,
-                      DeltaEngineChoice engine, int threads) {
+                      DeltaEngineChoice engine, int threads,
+                      std::int64_t tile_width = 4) {
   IngestOptions options;
   options.delta_engine = engine;
-  options.tile_width = 4;
+  options.tile_width = tile_width;
   options.num_threads = threads;
   options.flush_every = 8;
   IngestPipeline pipeline(initial, model, options);
@@ -199,22 +200,29 @@ TEST(IngestPipelineProperty, DeterministicAcrossThreadCountsAndEngines) {
     const SparseTensor replayed = ReplayOmega(
         initial, events, static_cast<std::int64_t>(events.size()));
 
-    RunResult reference;  // mode-major, 1 thread
-    for (const DeltaEngineChoice engine :
-         {DeltaEngineChoice::kModeMajor, DeltaEngineChoice::kNaive,
-          DeltaEngineChoice::kCached, DeltaEngineChoice::kAdaptive,
-          DeltaEngineChoice::kTiled}) {
+    RunResult reference;  // mode-major at tile width 4, 1 thread
+    struct Engine {
+      DeltaEngineChoice choice;
+      std::int64_t tile_width;
+    };
+    for (const Engine config :
+         {Engine{DeltaEngineChoice::kModeMajor, 4},
+          Engine{DeltaEngineChoice::kNaive, 4},
+          Engine{DeltaEngineChoice::kCached, 4},
+          Engine{DeltaEngineChoice::kModeMajor, 1},
+          Engine{DeltaEngineChoice::kModeMajor, 64}}) {
+      const DeltaEngineChoice engine = config.choice;
+      const bool is_reference =
+          engine == DeltaEngineChoice::kModeMajor && config.tile_width == 4;
       RunResult per_engine_reference;
       for (const int threads : {1, 4, 13}) {
         ThreadCountGuard ambient(threads);
-        RunResult run =
-            RunPipeline(initial, model, events, engine, threads);
+        RunResult run = RunPipeline(initial, model, events, engine, threads,
+                                    config.tile_width);
         ExpectSameTensor(run.omega, replayed);
         if (threads == 1) {
           per_engine_reference = run;
-          if (engine == DeltaEngineChoice::kModeMajor) {
-            reference = std::move(run);
-          }
+          if (is_reference) reference = std::move(run);
         } else {
           // Lemma 1 row independence: the trajectory may not depend on
           // the thread count, bit for bit.
@@ -223,14 +231,15 @@ TEST(IngestPipelineProperty, DeterministicAcrossThreadCountsAndEngines) {
                             "thread count");
         }
       }
-      if (engine == DeltaEngineChoice::kAdaptive ||
-          engine == DeltaEngineChoice::kTiled) {
-        // The regrouped exact engines consume bit-identical δ in the
-        // same entry order as mode-major (delta_engine_test pins the
+      if (engine == DeltaEngineChoice::kModeMajor) {
+        // The mode-major engine consumes bit-identical δ in the same
+        // entry order at every tile width (delta_engine_test pins the
         // kernel-level guarantee; this pins it through the pipeline).
-        ExpectSameFactors(per_engine_reference.model.factors,
-                          reference.model.factors, "engine");
-      } else if (engine != DeltaEngineChoice::kModeMajor) {
+        if (!is_reference) {
+          ExpectSameFactors(per_engine_reference.model.factors,
+                            reference.model.factors, "engine");
+        }
+      } else {
         // Naive sums in entry order and the cached engine maintains its
         // Pres table multiplicatively — same math, different rounding.
         ExpectNearFactors(per_engine_reference.model.factors,
@@ -238,6 +247,27 @@ TEST(IngestPipelineProperty, DeterministicAcrossThreadCountsAndEngines) {
       }
     }
   }
+}
+
+TEST(IngestPipelineProperty, AutoEngineMatchesTheSolversResolvedChoice) {
+  // The pipeline resolves kAuto through the solver's resolver, so a
+  // pipeline left on kAuto and one pinned to the resolved engine at the
+  // default tile width re-solve identically, flush for flush.
+  const SparseTensor initial = MakeInitial(23);
+  const TuckerFactorization model = MakeModel(initial, 24);
+  const std::vector<StreamEvent> events = RandomEvents(initial, 64, 905);
+  const DeltaEngineChoice resolved =
+      ResolveDeltaEngineChoice(DeltaEngineChoice::kAuto,
+                               PTuckerVariant::kMemory);
+  EXPECT_EQ(resolved, DeltaEngineChoice::kModeMajor);
+  const RunResult automatic = RunPipeline(initial, model, events,
+                                          DeltaEngineChoice::kAuto, 1,
+                                          kDefaultTileWidth);
+  const RunResult pinned =
+      RunPipeline(initial, model, events, resolved, 1, kDefaultTileWidth);
+  ExpectSameTensor(automatic.omega, pinned.omega);
+  ExpectSameFactors(automatic.model.factors, pinned.model.factors,
+                    "auto vs resolved");
 }
 
 TEST(IngestPipelineProperty, RestartFromAnyFlushBoundaryIsBitExact) {

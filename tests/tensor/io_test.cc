@@ -53,6 +53,42 @@ TEST(TnsParseTest, RejectsFractionalIndex) {
   EXPECT_THROW(ParseTns("1.5 1 0.5\n"), std::runtime_error);
 }
 
+TEST(TnsParseTest, RejectsIndexOutsideTheExactDoubleRange) {
+  // 1e300 cannot be cast to int64 without undefined behaviour; the parser
+  // must range-check the token first and name the line.
+  try {
+    ParseTns("1 1 0.5\n1e300 1 0.5\n");
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("line 2"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW(ParseTns("9007199254740994 1 0.5\n"), std::runtime_error);
+  EXPECT_THROW(ParseTns("-1e300 1 0.5\n"), std::runtime_error);
+  // 2^53 itself passes the range check and reaches the explicit dims'
+  // bounds check.
+  EXPECT_THROW(ParseTns("9007199254740992 1 0.5\n", {4, 4}),
+               std::runtime_error);
+}
+
+TEST(TnsParseTest, RejectsInferredDimAboveTheBudget) {
+  // One huge index with inferred dims used to size a 10^14-row mode and
+  // die in std::bad_alloc; now it is a named parse error.
+  try {
+    ParseTns("99999999999999 1 1 0.5\n");
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("kMaxInferredTnsDim"),
+              std::string::npos)
+        << error.what();
+  }
+  // A dim of exactly the budget is still inferred (constructing the
+  // tensor allocates nothing per row).
+  const SparseTensor at_budget =
+      ParseTns(std::to_string(kMaxInferredTnsDim) + " 1 0.5\n");
+  EXPECT_EQ(at_budget.dim(0), kMaxInferredTnsDim);
+}
+
 TEST(TnsParseTest, RejectsInconsistentOrder) {
   EXPECT_THROW(ParseTns("1 1 0.5\n1 1 1 0.5\n"), std::runtime_error);
 }

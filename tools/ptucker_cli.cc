@@ -32,11 +32,13 @@
 //                         DeltaEngineCatalog() (core/delta_engine.h) and
 //                         are printed by --help — parser and help share
 //                         that one table so they cannot drift
-//   --adaptive-eps X      error budget of --delta-engine adaptive, [0, 1)
-//   --tile-width B        batch tile of --delta-engine tiled, in [1, 64]
-//                         (rejected otherwise; sizes its delta/reconstruct/
-//                         products kernels; the SIMD kernels engage at
-//                         B >= 32, shorter tiles run the scalar fallback)
+//   --adaptive-eps X      group-skip error budget ε of the modemajor
+//                         engine, [0, 1) (default 0, exact)
+//   --tile-width B        batch tile of the modemajor engine, in [1, 64]
+//                         (default 64; rejected otherwise; sizes its
+//                         delta/reconstruct/products kernels; the SIMD
+//                         kernels engage at B >= 32, 1 is the per-entry
+//                         scan)
 //   --lambda X            L2 regularization (default 0.01)
 //   --max-iters N         maximum ALS iterations (default 20)
 //   --tolerance X         relative-error convergence (default 1e-4)
@@ -474,9 +476,10 @@ CliConfig ParseArgs(int argc, char** argv) {
   // Engine-knob validation happens here, at the boundary, so a typo'd
   // flag dies with exit code 2 and a usable message instead of an
   // exception (or a silent clamp) deep inside the library.
-  if (config.tile_width < 1 || config.tile_width > TiledDeltaEngine::kMaxTile) {
+  if (config.tile_width < 1 ||
+      config.tile_width > ModeMajorDeltaEngine::kMaxTile) {
     Fail("--tile-width must be in [1, " +
-         std::to_string(TiledDeltaEngine::kMaxTile) + "], got " +
+         std::to_string(ModeMajorDeltaEngine::kMaxTile) + "], got " +
          std::to_string(config.tile_width));
   }
   if (!(config.adaptive_eps >= 0.0) || config.adaptive_eps >= 1.0) {
