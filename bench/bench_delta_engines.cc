@@ -10,13 +10,21 @@
 // at ε = 0 (exact) and ε = 0.2 (lossy δ, with its max |δ − δ_naive|
 // reported in the accuracy column — its reconstruct kernel stays exact).
 //
+// Every variant of a config is built once, then timed in 7 interleaved
+// rounds — one δ-sweep and one reconstruct sweep per variant per round,
+// the starting variant rotating from round to round — and compared by
+// its per-variant median, so a slow moment of the host lands on one
+// round of every variant instead of on one variant's whole measurement.
+//
 // Exit status is the Release CI perf gate (docs/benchmarks.md): 0 only if
 // at least one single config simultaneously shows (a) modemajor B=1
 // beating naive, (b) modemajor B=64 matching or beating B=1 on the
 // δ-sweep, (c) modemajor ε=0.2 beating ε=0 (both B=1) on the δ-sweep, and
 // (d) modemajor B=64 matching or beating B=1 on the reconstruct sweep.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,8 +32,9 @@
 #include "bench/bench_common.h"
 #include "core/delta_engine.h"
 #include "data/synthetic.h"
-#include "util/random.h"
+#include "obs/percentile.h"
 #include "obs/stopwatch.h"
+#include "util/random.h"
 
 namespace {
 
@@ -47,62 +56,53 @@ struct Variant {
   std::int64_t tile_width;
 };
 
-struct SweepResult {
+// Interleaved timing rounds per config; the gate compares medians.
+constexpr int kRounds = 7;
+
+// One variant's engine, its per-round timings and its last outputs (kept
+// so every variant can be compared against the naive oracle exactly).
+struct VariantRun {
+  std::unique_ptr<DeltaEngine> engine;
   double build_seconds = 0.0;
-  double sweep_seconds = 0.0;      // best-of-repeats full δ-sweep
-  double max_abs_error = 0.0;      // vs the naive oracle's deltas
-  double rec_seconds = 0.0;        // best-of-repeats full reconstruct sweep
-  double rec_max_abs_error = 0.0;  // vs the naive oracle's x̂
-  std::vector<double> deltas;      // last sweep's full |Ω|·N·J delta block
-  std::vector<double> xhat;        // last reconstruct sweep's |Ω| x̂ block
+  std::vector<double> sweep_times;  // one full δ-sweep per round
+  std::vector<double> rec_times;    // one full reconstruct sweep per round
+  std::vector<double> deltas;       // the full |Ω|·N·J delta block
+  std::vector<double> xhat;         // the |Ω| x̂ block
 };
 
-// Builds the engine (timed) and runs `repeats` full δ-sweeps through
-// DeltaBatch plus `repeats` full reconstruct sweeps through
-// ReconstructBatch, keeping the fastest of each. The deltas and x̂ of the
-// final sweeps are retained so variants can be compared against the naive
-// oracle exactly.
-SweepResult RunSweep(const Variant& variant, const SparseTensor& x,
-                     const CoreEntryList& list,
-                     const std::vector<Matrix>& factors, std::int64_t rank,
-                     int repeats) {
-  SweepResult result;
-  Stopwatch build_clock;
-  const auto engine =
-      MakeDeltaEngine(variant.choice, x, list, factors, nullptr,
-                      variant.adaptive_eps, variant.tile_width);
-  result.build_seconds = build_clock.ElapsedSeconds();
+// The observed entries as DeltaBatch/ReconstructBatch arguments.
+struct EntryBatch {
+  std::vector<std::int64_t> entries;
+  std::vector<const std::int64_t*> indices;
+};
 
-  const std::int64_t order = x.order();
-  const std::int64_t nnz = x.nnz();
-  std::vector<std::int64_t> entries(static_cast<std::size_t>(nnz));
-  std::vector<const std::int64_t*> indices(static_cast<std::size_t>(nnz));
-  for (std::int64_t e = 0; e < nnz; ++e) {
-    entries[static_cast<std::size_t>(e)] = e;
-    indices[static_cast<std::size_t>(e)] = x.index(e);
+// Times one full δ-sweep (every entry × every mode through DeltaBatch)
+// and one full reconstruct sweep (ReconstructBatch over every entry) of
+// `run`'s engine, appending one sample to each of its timing series.
+void TimeRound(const EntryBatch& batch, std::int64_t order, std::int64_t rank,
+               VariantRun* run) {
+  const std::int64_t nnz = static_cast<std::int64_t>(batch.entries.size());
+  run->deltas.resize(static_cast<std::size_t>(order * nnz * rank));
+  Stopwatch sweep_clock;
+  for (std::int64_t mode = 0; mode < order; ++mode) {
+    run->engine->DeltaBatch(nnz, batch.entries.data(), batch.indices.data(),
+                            mode, run->deltas.data() + mode * nnz * rank);
   }
-  result.deltas.resize(static_cast<std::size_t>(order * nnz * rank));
+  run->sweep_times.push_back(sweep_clock.ElapsedSeconds());
 
-  result.sweep_seconds = 1e30;
-  for (int repeat = 0; repeat < repeats; ++repeat) {
-    Stopwatch sweep_clock;
-    for (std::int64_t mode = 0; mode < order; ++mode) {
-      engine->DeltaBatch(nnz, entries.data(), indices.data(), mode,
-                         result.deltas.data() + mode * nnz * rank);
-    }
-    result.sweep_seconds =
-        std::min(result.sweep_seconds, sweep_clock.ElapsedSeconds());
-  }
+  run->xhat.resize(static_cast<std::size_t>(nnz));
+  Stopwatch rec_clock;
+  run->engine->ReconstructBatch(nnz, batch.indices.data(), run->xhat.data());
+  run->rec_times.push_back(rec_clock.ElapsedSeconds());
+}
 
-  result.xhat.resize(static_cast<std::size_t>(nnz));
-  result.rec_seconds = 1e30;
-  for (int repeat = 0; repeat < repeats; ++repeat) {
-    Stopwatch rec_clock;
-    engine->ReconstructBatch(nnz, indices.data(), result.xhat.data());
-    result.rec_seconds =
-        std::min(result.rec_seconds, rec_clock.ElapsedSeconds());
+double MaxAbsDeviation(const std::vector<double>& a,
+                       const std::vector<double>& b) {
+  double max_diff = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    max_diff = std::max(max_diff, std::fabs(a[i] - b[i]));
   }
-  return result;
+  return max_diff;
 }
 
 double SolveSeconds(const Variant& variant, const SparseTensor& x,
@@ -124,7 +124,8 @@ int main() {
   PrintHeader("DeltaEngine comparison (Fig. 6-style synthetic configs)",
               "full delta-sweep = |Omega| x N DeltaBatch calls; "
               "reconstruct sweep = |Omega| ReconstructBatch x-hats; "
-              "solve = 2 P-Tucker iterations; best of 5 sweeps; "
+              "solve = 2 P-Tucker iterations; sweep times are medians "
+              "of 7 interleaved rounds; "
               "accuracy = max |delta - delta_naive| over the sweep");
 
   const Config configs[] = {
@@ -134,7 +135,8 @@ int main() {
   };
 
   // The first two rows are the references the gate compares against:
-  // naive first (the accuracy oracle), then mode-major at B=1, ε=0.
+  // naive first (the accuracy oracle), then mode-major at B=1, ε=0. The
+  // rows after them are matched by engine, width and ε.
   const Variant variants[] = {
       {DeltaEngineChoice::kNaive, "naive", 0.0, 1},
       {DeltaEngineChoice::kModeMajor, "modemajor B=1", 0.0, 1},
@@ -186,84 +188,76 @@ int main() {
                              " J=" + std::to_string(config.rank) +
                              " nnz=" + std::to_string(config.nnz);
 
-    SweepResult naive;
-    double modemajor_sweep = 0.0;
-    double modemajor_rec = 0.0;
-    for (const Variant& variant : variants) {
-      SweepResult sweep =
-          RunSweep(variant, x, list, factors, config.rank, 5);
-      if (variant.choice == DeltaEngineChoice::kNaive) {
-        naive = std::move(sweep);
-        table.AddRow({name, variant.label,
-                      FormatDouble(naive.build_seconds, 4),
-                      FormatDouble(naive.sweep_seconds, 4), "1.00x", "exact",
-                      FormatDouble(SolveSeconds(variant, x, ranks), 4)});
-        rec_table.AddRow({name, variant.label,
-                          FormatDouble(naive.rec_seconds, 4), "1.00x"});
-        continue;
+    EntryBatch batch;
+    for (std::int64_t e = 0; e < x.nnz(); ++e) {
+      batch.entries.push_back(e);
+      batch.indices.push_back(x.index(e));
+    }
+    const std::size_t count = std::size(variants);
+    std::vector<VariantRun> runs(count);
+    for (std::size_t v = 0; v < count; ++v) {
+      Stopwatch build_clock;
+      runs[v].engine = MakeDeltaEngine(variants[v].choice, x, list, factors,
+                                       nullptr, variants[v].adaptive_eps,
+                                       variants[v].tile_width);
+      runs[v].build_seconds = build_clock.ElapsedSeconds();
+    }
+    for (int round = 0; round < kRounds; ++round) {
+      for (std::size_t i = 0; i < count; ++i) {
+        TimeRound(batch, config.order, config.rank,
+                  &runs[(static_cast<std::size_t>(round) + i) % count]);
       }
-      if (naive.deltas.size() != sweep.deltas.size()) {
-        std::fprintf(stderr,
-                     "naive reference missing/mismatched for %s on %s "
-                     "(is kNaive still the first variant?)\n",
-                     variant.label, name.c_str());
-        return 1;
-      }
-      for (std::size_t i = 0; i < sweep.deltas.size(); ++i) {
-        sweep.max_abs_error = std::max(
-            sweep.max_abs_error, std::fabs(sweep.deltas[i] - naive.deltas[i]));
-      }
-      for (std::size_t i = 0; i < sweep.xhat.size(); ++i) {
-        sweep.rec_max_abs_error = std::max(
-            sweep.rec_max_abs_error, std::fabs(sweep.xhat[i] - naive.xhat[i]));
-      }
+    }
+
+    // Per-variant medians; runs[0] is naive (the accuracy oracle and the
+    // speedup baseline), runs[1] modemajor B=1 ε=0 (the gate's reference).
+    std::vector<double> sweep(count);
+    std::vector<double> rec(count);
+    for (std::size_t v = 0; v < count; ++v) {
+      sweep[v] = obs::Percentile(runs[v].sweep_times, 50.0);
+      rec[v] = obs::Percentile(runs[v].rec_times, 50.0);
+    }
+    for (std::size_t v = 0; v < count; ++v) {
+      const Variant& variant = variants[v];
       const bool lossy = variant.adaptive_eps > 0.0;
-      const bool reference = variant.choice == DeltaEngineChoice::kModeMajor &&
-                             variant.tile_width == 1 && !lossy;
-      const bool widest = variant.choice == DeltaEngineChoice::kModeMajor &&
-                          variant.tile_width == 64 && !lossy;
-      if (!lossy && sweep.max_abs_error > 1e-6) {
+      const double error = MaxAbsDeviation(runs[v].deltas, runs[0].deltas);
+      if (!lossy && error > 1e-6) {
         std::fprintf(stderr, "delta mismatch for %s on %s: max err %.3e\n",
-                     variant.label, name.c_str(), sweep.max_abs_error);
+                     variant.label, name.c_str(), error);
         return 1;
       }
       // Reconstruction is exact on every engine — the ε budget only
       // applies to δ.
-      if (sweep.rec_max_abs_error > 1e-6) {
+      const double rec_error = MaxAbsDeviation(runs[v].xhat, runs[0].xhat);
+      if (rec_error > 1e-6) {
         std::fprintf(stderr, "x-hat mismatch for %s on %s: max err %.3e\n",
-                     variant.label, name.c_str(), sweep.rec_max_abs_error);
+                     variant.label, name.c_str(), rec_error);
         return 1;
       }
-      const double speedup = naive.sweep_seconds / sweep.sweep_seconds;
-      const double rec_speedup = naive.rec_seconds / sweep.rec_seconds;
-      if (reference) {
-        modemajor_sweep = sweep.sweep_seconds;
-        modemajor_rec = sweep.rec_seconds;
-        if (speedup > 1.0) config_modemajor_win = true;
+      const bool modemajor = variant.choice == DeltaEngineChoice::kModeMajor;
+      if (modemajor && variant.tile_width == 1 && !lossy) {
+        config_modemajor_win = sweep[v] < sweep[0];
       }
-      if (widest && sweep.sweep_seconds <= modemajor_sweep) {
-        config_wide_match = true;
+      if (modemajor && variant.tile_width == 64 && !lossy) {
+        config_wide_match = sweep[v] <= sweep[1];
+        config_rec_wide_match = rec[v] <= rec[1];
       }
-      if (widest && sweep.rec_seconds <= modemajor_rec) {
-        config_rec_wide_match = true;
-      }
-      if (lossy && variant.tile_width == 1 &&
-          sweep.sweep_seconds < modemajor_sweep) {
-        config_skip_win = true;
+      if (modemajor && variant.tile_width == 1 && lossy) {
+        config_skip_win = sweep[v] < sweep[1];
       }
       std::string accuracy = "exact";
       if (lossy) {
         char buffer[32];
-        std::snprintf(buffer, sizeof(buffer), "%.2e", sweep.max_abs_error);
+        std::snprintf(buffer, sizeof(buffer), "%.2e", error);
         accuracy = buffer;
       }
-      table.AddRow({name, variant.label, FormatDouble(sweep.build_seconds, 4),
-                    FormatDouble(sweep.sweep_seconds, 4),
-                    FormatDouble(speedup, 2) + "x", accuracy,
+      table.AddRow({name, variant.label,
+                    FormatDouble(runs[v].build_seconds, 4),
+                    FormatDouble(sweep[v], 4),
+                    FormatDouble(sweep[0] / sweep[v], 2) + "x", accuracy,
                     FormatDouble(SolveSeconds(variant, x, ranks), 4)});
-      rec_table.AddRow({name, variant.label,
-                        FormatDouble(sweep.rec_seconds, 4),
-                        FormatDouble(rec_speedup, 2) + "x"});
+      rec_table.AddRow({name, variant.label, FormatDouble(rec[v], 4),
+                        FormatDouble(rec[0] / rec[v], 2) + "x"});
     }
     modemajor_beat_naive |= config_modemajor_win;
     wide_matched_narrow |= config_wide_match;

@@ -12,11 +12,12 @@
 //
 // `bench_serving --rows [N]` (default N = 10,000,000) switches to the
 // snapshot-scale mode instead: an N x 64 x 32 rank-4 model with
-// clustered mode-0 rows is checkpointed in both formats, and the bench
-// reports (a) time-to-serving-ready for the v1 parse vs the v2 mmap
-// open — gated at >= 50x — and (b) top-K latency and recall@10 across
-// an IVF nprobe sweep vs the exhaustive scan — gated at >= 10x speedup
-// with recall >= 0.95.
+// clustered mode-0 rows is checkpointed once, and the bench reports (a)
+// time-to-serving-ready for a full-CRC heap load (LoadSnapshot: verify,
+// copy into an owning model, build the engine over it) vs the mmap open
+// of the same file — gated at >= 50x — and (b) top-K latency and
+// recall@10 across an IVF nprobe sweep vs the exhaustive scan — gated at
+// >= 10x speedup with recall >= 0.95.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,7 +29,6 @@
 #include "obs/percentile.h"
 #include "core/ptucker.h"
 #include "serve/service.h"
-#include "serve/snapshot.h"
 #include "serve/snapshot_v2.h"
 #include "tensor/dense_tensor.h"
 #include "util/format.h"
@@ -55,7 +55,7 @@ TuckerFactorization MakeModel(const std::vector<std::int64_t>& dims,
   return model;
 }
 
-// The snapshot-scale mode: load-time v1 vs v2 and IVF top-K quality.
+// The snapshot-scale mode: heap load vs mmap open, and IVF top-K quality.
 int RunSnapshotScaleBench(std::int64_t rows) {
   const std::vector<std::int64_t> ranks = {4, 4, 4};
   std::printf(
@@ -95,44 +95,42 @@ int RunSnapshotScaleBench(std::int64_t rows) {
     model.core.FillUniform(rng);
   }
 
-  const std::string dir = std::filesystem::temp_directory_path().string();
-  const std::string v1_path = dir + "/bench_serving_v1.ptks";
-  const std::string v2_path = dir + "/bench_serving_v2.ptks";
-  SaveSnapshot(v1_path, model);
-  SaveSnapshotV2(v2_path, model, /*with_centroids=*/true);
-  std::printf("v1 snapshot: %.1f MB   v2 snapshot: %.1f MB\n",
-              static_cast<double>(std::filesystem::file_size(v1_path)) / 1e6,
-              static_cast<double>(std::filesystem::file_size(v2_path)) / 1e6);
+  const std::string path =
+      std::filesystem::temp_directory_path().string() + "/bench_serving.ptks";
+  SaveSnapshotV2(path, model, /*with_centroids=*/true);
+  std::printf("snapshot: %.1f MB\n",
+              static_cast<double>(std::filesystem::file_size(path)) / 1e6);
 
-  // Time-to-serving-ready, best of 3: the v1 path parses and copies the
-  // whole file into an owning model; the v2 path maps it and builds the
-  // engine over views — no factor bytes are read eagerly.
-  double v1_seconds = 1e30;
-  double v2_seconds = 1e30;
+  // Time-to-serving-ready, best of 3: the heap path CRC-checks and copies
+  // the whole file into an owning model; the mmap path maps it and
+  // builds the engine over views — no factor bytes are read eagerly.
+  double heap_seconds = 1e30;
+  double mmap_seconds = 1e30;
   bool mapped = false;
   for (int repeat = 0; repeat < 3; ++repeat) {
     {
       Stopwatch clock;
-      const auto snapshot = ModelSnapshot::Create(LoadSnapshot(v1_path));
-      v1_seconds = std::min(v1_seconds, clock.ElapsedSeconds());
+      const auto snapshot = ModelSnapshot::Create(LoadSnapshot(path));
+      heap_seconds = std::min(heap_seconds, clock.ElapsedSeconds());
     }
     {
       Stopwatch clock;
-      const auto snapshot = ModelSnapshot::CreateFromFile(v2_path);
-      v2_seconds = std::min(v2_seconds, clock.ElapsedSeconds());
+      const auto snapshot = ModelSnapshot::CreateFromFile(path);
+      mmap_seconds = std::min(mmap_seconds, clock.ElapsedSeconds());
       mapped = snapshot->mapped();
     }
   }
-  const double load_speedup = v1_seconds / v2_seconds;
-  TablePrinter load_table({"format", "seconds", "speedup"});
-  load_table.AddRow({"v1 parse + copy", FormatDouble(v1_seconds, 4), "1.00x"});
-  load_table.AddRow({mapped ? "v2 mmap" : "v2 heap (mmap unavailable)",
-                     FormatDouble(v2_seconds, 4),
+  const double load_speedup = heap_seconds / mmap_seconds;
+  TablePrinter load_table({"load", "seconds", "speedup"});
+  load_table.AddRow({"heap: full CRC + copy", FormatDouble(heap_seconds, 4),
+                     "1.00x"});
+  load_table.AddRow({mapped ? "mmap" : "heap (mmap unavailable)",
+                     FormatDouble(mmap_seconds, 4),
                      FormatDouble(load_speedup, 0) + "x"});
   load_table.Print();
 
   // Top-K along mode 0: exhaustive scan vs the IVF nprobe sweep.
-  const PredictionService service(ModelSnapshot::CreateFromFile(v2_path));
+  const PredictionService service(ModelSnapshot::CreateFromFile(path));
   const std::int64_t num_queries = 8;
   const std::int64_t k = 10;
   std::vector<std::vector<std::int64_t>> queries;
@@ -187,10 +185,9 @@ int RunSnapshotScaleBench(std::int64_t rows) {
   }
   topk_table.Print();
 
-  std::filesystem::remove(v1_path);
-  std::filesystem::remove(v2_path);
+  std::filesystem::remove(path);
   const bool load_gate = load_speedup >= 50.0;
-  std::printf("\nv2 load >= 50x faster than v1 parse: %s\n",
+  std::printf("\nmmap open >= 50x faster than full-CRC heap load: %s\n",
               load_gate ? "YES" : "NO");
   std::printf("some nprobe >= 10x faster at recall >= 0.95: %s\n",
               ivf_gate ? "YES" : "NO");

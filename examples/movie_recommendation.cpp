@@ -1,7 +1,7 @@
 // Movie recommendation on a simulated MovieLens-style tensor
 // (user, movie, year, hour; rating) — the paper's motivating workload,
 // run the way a production backend would: train P-Tucker, persist the
-// model as a binary snapshot (serve/snapshot.h), load it back into a
+// model as a binary snapshot (serve/snapshot_v2.h), load it back into a
 // PredictionService (serve/service.h), and answer every query —
 // held-out RMSE and top-K recommendations — through the serving layer's
 // batched tile kernels instead of re-factorizing.
@@ -21,7 +21,7 @@
 #include "data/movielens_sim.h"
 #include "data/split.h"
 #include "serve/service.h"
-#include "serve/snapshot.h"
+#include "serve/snapshot_v2.h"
 #include "util/random.h"
 
 int main() {
@@ -58,7 +58,7 @@ int main() {
   // trainer hands to a serving fleet. The round trip is bit-identical.
   const std::string snapshot_path =
       (std::filesystem::temp_directory_path() / "movie_model.ptks").string();
-  SaveSnapshot(snapshot_path, ptucker.model);
+  SaveSnapshotV2(snapshot_path, ptucker.model, /*with_centroids=*/false);
   TuckerFactorization served_model = LoadSnapshot(snapshot_path);
   std::printf("\nmodel checkpointed to %s and reloaded (core nnz %lld)\n",
               snapshot_path.c_str(),

@@ -121,7 +121,7 @@ struct PTuckerOptions {
 
   /// Warm start: when non-null, factors and core are initialized from
   /// this fitted model (e.g. a checkpoint loaded with LoadSnapshot,
-  /// serve/snapshot.h) instead of the Uniform[0,1) draw, so a solve can
+  /// serve/snapshot_v2.h) instead of the Uniform[0,1) draw, so a solve can
   /// resume where a previous one stopped. The model must match the
   /// input: factor n must be I_n × core_dims[n] and the core must have
   /// shape core_dims (std::invalid_argument otherwise). The pointee is

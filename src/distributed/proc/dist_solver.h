@@ -1,7 +1,7 @@
 /// \file
 /// \brief The multi-process P-Tucker solver: a coordinator launches N
 /// workers (forked processes over socketpairs or loopback TCP, or worker
-/// threads for the simulated cluster), each owning a contiguous block of
+/// threads over in-memory queues), each owning a contiguous block of
 /// factor rows per mode (PartitionRowsBlock) and a contiguous subrange
 /// of the fixed reduction lanes. Workers solve their rows through the
 /// shared core/row_update.h kernel and ship raw per-lane reduction
@@ -17,13 +17,44 @@
 #define PTUCKER_DISTRIBUTED_PROC_DIST_SOLVER_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "core/options.h"
+#include "core/ptucker.h"
 #include "distributed/proc/transport.h"
-#include "distributed/sim_cluster.h"
 #include "tensor/sparse_tensor.h"
 
 namespace ptucker {
+
+/// What the cluster paid for a solve: measured wire bytes plus a compute
+/// cost model over the row ownership. Each mode update allgathers the
+/// refreshed I_n·J_n factor; a worker's compute is the sum of
+/// RowUpdateCost over the rows it owns (distributed/partition.h).
+struct DistributedStats {
+  std::int64_t workers = 1;  ///< number of workers N
+  int iterations_run = 0;    ///< ALS iterations completed
+  /// Bytes moved over every coordinator↔worker channel, both directions.
+  std::int64_t total_comm_bytes = 0;
+  /// Compute makespan per iteration in cost units (max worker load),
+  /// summed over modes.
+  std::vector<std::int64_t> makespan_per_iteration;
+  /// Total compute cost units per iteration (= serial work).
+  std::vector<std::int64_t> total_cost_per_iteration;
+
+  /// Parallel efficiency of iteration `i`: serial / (N · makespan).
+  double Efficiency(std::size_t i) const {
+    return static_cast<double>(total_cost_per_iteration[i]) /
+           (static_cast<double>(workers) *
+            static_cast<double>(makespan_per_iteration[i]));
+  }
+};
+
+/// A distributed solve's outcome: the single-process result plus the
+/// cluster's stats.
+struct DistributedPTuckerResult {
+  PTuckerResult result;    ///< bit-identical to PTuckerDecompose's
+  DistributedStats stats;  ///< wire bytes and cost-model makespans
+};
 
 /// Deterministic fault injection for the distributed solver's failure
 /// tests: makes one worker misbehave at an exact (iteration, mode) point

@@ -152,7 +152,7 @@ class FdChannel : public FrameChannel {
 };
 
 // ---------------------------------------------------------------------------
-// InProcChannel: in-memory duplex byte queues (the simulated cluster)
+// InProcChannel: in-memory duplex byte queues (the in-process cluster)
 // ---------------------------------------------------------------------------
 
 struct ByteQueue {
@@ -515,7 +515,7 @@ class ForkTransport : public ClusterTransport {
 };
 
 // ---------------------------------------------------------------------------
-// In-process transport (worker threads; the simulated cluster)
+// In-process transport (worker threads over in-memory queues)
 // ---------------------------------------------------------------------------
 
 class InProcessTransport : public ClusterTransport {

@@ -1,6 +1,6 @@
 /// \file
 /// \brief Cluster transports for the multi-process solver: the one
-/// ClusterTransport interface behind which the simulated cluster
+/// ClusterTransport interface behind which the in-process cluster
 /// (worker threads in this process) and the real transports (forked
 /// worker processes over socketpairs or loopback TCP) all run, so tests
 /// drive every path through identical code. A transport launches N
@@ -87,9 +87,9 @@ using WorkerMain =
 
 /// Which transport carries the PTKD protocol.
 enum class DistTransport {
-  /// Worker threads inside this process over in-memory byte queues — the
-  /// simulated cluster. Identical protocol, no fork, no sockets; what
-  /// the bit-exactness property tests sweep.
+  /// Worker threads inside this process over in-memory byte queues.
+  /// Identical protocol, no fork, no sockets; what the bit-exactness
+  /// property tests sweep.
   kInProcess,
   /// Forked worker processes over AF_UNIX socketpairs (the default).
   kSocketpair,

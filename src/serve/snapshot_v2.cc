@@ -4,7 +4,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "serve/snapshot.h"
 #include "tensor/dense_tensor.h"
 #include "util/logging.h"
 
@@ -136,7 +135,8 @@ std::string SerializeSnapshotV2(const TuckerFactorization& model,
     throw std::runtime_error("snapshot: IVF index count does not match order");
   }
 
-  // VeST-compact core, linear (mode-0-fastest) order like v1.
+  // VeST-compact core: COO nonzeros only, in linear (mode-0-fastest)
+  // order so serialization is deterministic.
   std::vector<std::int32_t> core_indices;
   std::vector<double> core_values;
   std::vector<std::int64_t> index(static_cast<std::size_t>(order));
@@ -337,37 +337,6 @@ void MmapSnapshot::AdoptHeapBuffer(const std::string& bytes) {
 std::unique_ptr<MmapSnapshot> MmapSnapshot::Open(const std::string& path,
                                                  bool verify_payload) {
   std::unique_ptr<MmapSnapshot> snapshot(new MmapSnapshot());
-
-  // Peek at magic + version to pick the load strategy.
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("snapshot: cannot open file: " + path);
-    char head[8] = {0};
-    in.read(head, sizeof(head));
-    if (in.gcount() < static_cast<std::streamsize>(sizeof(head))) {
-      ThrowFormat(path, "header", "file shorter than the header");
-    }
-    if (std::memcmp(head, kMagic, sizeof(kMagic)) != 0) {
-      ThrowFormat(path, "header", "bad magic (not a PTKS snapshot)");
-    }
-    std::uint32_t version = 0;
-    std::memcpy(&version, head + 4, sizeof(version));
-    if (version == kSnapshotVersion) {
-      // v1 fallback: parse the owning model, re-serialize to v2 in
-      // memory, and serve views over the heap buffer.
-      const TuckerFactorization model =
-          ParseSnapshot(ReadWholeFile(path), path);
-      snapshot->AdoptHeapBuffer(SerializeSnapshotV2(model, nullptr));
-      snapshot->ParseV2(path, /*verify_payload=*/false);
-      return snapshot;
-    }
-    if (version != kSnapshotVersion2) {
-      ThrowFormat(path, "header",
-                  "unsupported snapshot version " + std::to_string(version) +
-                      " (this library reads versions 1 and 2)");
-    }
-  }
-
 #if PTUCKER_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd >= 0) {
@@ -396,17 +365,25 @@ std::unique_ptr<MmapSnapshot> MmapSnapshot::Open(const std::string& path,
 }
 
 void MmapSnapshot::ParseV2(const std::string& path, bool verify_payload) {
-  if (size_ < kHeaderBytes) {
+  // Magic and version are checked before the header length, so a file of
+  // another version is named as such even when it is shorter than a v2
+  // header.
+  std::uint32_t version = 0;
+  if (size_ < sizeof(kMagic) + sizeof(version)) {
     ThrowFormat(path, "header", "file shorter than the header");
   }
   if (std::memcmp(base_, kMagic, sizeof(kMagic)) != 0) {
     ThrowFormat(path, "header", "bad magic (not a PTKS snapshot)");
   }
-  std::uint32_t version = 0;
   std::memcpy(&version, base_ + 4, sizeof(version));
   if (version != kSnapshotVersion2) {
     ThrowFormat(path, "header",
-                "unsupported snapshot version " + std::to_string(version));
+                "unsupported snapshot version " + std::to_string(version) +
+                    " (this library reads version " +
+                    std::to_string(kSnapshotVersion2) + ")");
+  }
+  if (size_ < kHeaderBytes) {
+    ThrowFormat(path, "header", "file shorter than the header");
   }
   std::uint32_t meta_crc = 0;
   std::uint32_t payload_crc = 0;
@@ -621,6 +598,33 @@ TuckerFactorization MaterializeModel(const MmapSnapshot& snapshot) {
     model.core.at(index.data()) = values[static_cast<std::size_t>(e)];
   }
   return model;
+}
+
+TuckerFactorization LoadSnapshot(const std::string& path) {
+  return MaterializeModel(*MmapSnapshot::Open(path, /*verify_payload=*/true));
+}
+
+std::uint32_t SnapshotCrc32(const char* data, std::size_t size) {
+  // CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the corruption check
+  // that turns a flipped bit into a clean load error instead of a
+  // silently wrong model.
+  static const auto table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
+          (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
 }
 
 }  // namespace ptucker

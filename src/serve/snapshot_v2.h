@@ -1,11 +1,16 @@
 /// \file
-/// \brief Snapshot format v2: the mmap-able model plane. Sections are
-/// 64-byte-aligned and little-endian, so a loaded snapshot *is* the file
-/// — MmapSnapshot maps it read-only and hands out FactorViews / core
-/// spans pointing straight into the mapping, zero factor copies. An
-/// optional section carries per-mode IVF coarse centroids + inverted
-/// lists for sublinear top-K. v1 files and failed mappings fall back to a
-/// heap buffer behind the same interface. Format spec: docs/serving.md.
+/// \brief Persistent model checkpoints: snapshot format v2, the mmap-able
+/// model plane. A snapshot stores a fitted TuckerFactorization (dims,
+/// ranks, factor matrices, and the sparse core as COO nonzeros —
+/// VeST-compact, so a truncated P-TUCKER-APPROX core costs only its
+/// surviving entries on disk). Sections are 64-byte-aligned and
+/// little-endian, so a loaded snapshot *is* the file — MmapSnapshot maps
+/// it read-only and hands out FactorViews / core spans pointing straight
+/// into the mapping, zero factor copies. An optional section carries
+/// per-mode IVF coarse centroids + inverted lists for sublinear top-K.
+/// Failed mappings fall back to a heap buffer behind the same interface;
+/// LoadSnapshot materializes an owning model for warm starts
+/// (PTuckerOptions::init_snapshot). Format spec: docs/serving.md.
 #ifndef PTUCKER_SERVE_SNAPSHOT_V2_H_
 #define PTUCKER_SERVE_SNAPSHOT_V2_H_
 
@@ -21,8 +26,8 @@
 
 namespace ptucker {
 
-/// Format version written by SerializeSnapshotV2 and accepted (alongside
-/// v1, via fallback conversion) by MmapSnapshot::Open.
+/// Format version written by SerializeSnapshotV2 and the only one
+/// MmapSnapshot::Open accepts; any other version is rejected by name.
 inline constexpr std::uint32_t kSnapshotVersion2 = 2;
 
 /// Alignment of every v2 section (header, meta, factors, core, IVF);
@@ -43,8 +48,7 @@ void SaveSnapshotV2(const std::string& path, const TuckerFactorization& model,
 
 /// A v2 snapshot opened in place. Prefers `mmap` + `madvise(WILLNEED)`;
 /// when mapping fails (or on platforms without it) the file is read into
-/// an aligned heap buffer, and a v1 file is parsed and re-serialized to
-/// v2 in memory — every path yields the same views. Structural
+/// an aligned heap buffer — both paths yield the same views. Structural
 /// validation (magic, version, meta CRC, section alignment and extents,
 /// core index ranges, IVF list boundaries) always runs and never touches
 /// the factor payload; `verify_payload` additionally checks the payload
@@ -126,6 +130,17 @@ class MmapSnapshot {
 /// Materializes an owning TuckerFactorization from an opened snapshot
 /// (the v2 → warm-start bridge; factor and core bits are copied).
 TuckerFactorization MaterializeModel(const MmapSnapshot& snapshot);
+
+/// Reads the snapshot at `path` into an owning model, bit-identical to
+/// the one saved: MaterializeModel over MmapSnapshot::Open with the
+/// payload CRC verified, since every byte is copied anyway. Throws
+/// std::runtime_error naming the file and section on any open, format
+/// or corruption failure.
+TuckerFactorization LoadSnapshot(const std::string& path);
+
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the checksum the header
+/// stores for the meta and payload sections, exposed for tests.
+std::uint32_t SnapshotCrc32(const char* data, std::size_t size);
 
 }  // namespace ptucker
 

@@ -1,10 +1,15 @@
-// Snapshot format tests: bit-identical round trips, rejection of
-// corrupt/truncated/mismatched files, and warm-start trajectory
-// continuation through PTuckerOptions::init_snapshot.
-#include "serve/snapshot.h"
+// Model-level snapshot tests: LoadSnapshot round trips of fitted models,
+// rejection of corrupt files by the owning-model loader, the writer's
+// consistency checks, and warm-start trajectory continuation through
+// PTuckerOptions::init_snapshot. Format-level checks (every-offset
+// corruption sweeps, hostile headers, IVF sections) live in
+// snapshot_v2_test.cc.
+#include "serve/snapshot_v2.h"
 
-#include <cstdio>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -31,6 +36,10 @@ TuckerFactorization TrainModel(const SparseTensor& x, int iterations,
   return PTuckerDecompose(x, options).model;
 }
 
+std::string TempPath(const char* name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
 void ExpectBitIdentical(const TuckerFactorization& a,
                         const TuckerFactorization& b) {
   ASSERT_EQ(a.factors.size(), b.factors.size());
@@ -42,24 +51,15 @@ void ExpectBitIdentical(const TuckerFactorization& a,
   EXPECT_EQ(MaxAbsDiff(a.core, b.core), 0.0);
 }
 
-TEST(SnapshotTest, RoundTripIsBitIdentical) {
-  const SparseTensor x = MakeTensor();
-  const TuckerFactorization model = TrainModel(x, 3);
-  const TuckerFactorization reloaded =
-      ParseSnapshot(SerializeSnapshot(model));
-  ExpectBitIdentical(model, reloaded);
-}
-
 TEST(SnapshotTest, FileRoundTripIsBitIdentical) {
   const SparseTensor x = MakeTensor();
   const TuckerFactorization model = TrainModel(x, 3);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "snapshot_test_rt.ptks")
-          .string();
-  SaveSnapshot(path, model);
-  const TuckerFactorization reloaded = LoadSnapshot(path);
+  const std::string path = TempPath("snapshot_test_rt.ptks");
+  for (const bool with_centroids : {false, true}) {
+    SaveSnapshotV2(path, model, with_centroids);
+    ExpectBitIdentical(model, LoadSnapshot(path));
+  }
   std::filesystem::remove(path);
-  ExpectBitIdentical(model, reloaded);
 }
 
 TEST(SnapshotTest, StoresOnlyCoreNonzeros) {
@@ -67,122 +67,41 @@ TEST(SnapshotTest, StoresOnlyCoreNonzeros) {
   TuckerFactorization model = TrainModel(x, 2, /*orthogonalize=*/false);
   // Sparsify the core the way P-TUCKER-APPROX truncation does; the
   // snapshot must round-trip the zeros and shrink with them.
-  const std::string dense_bytes = SerializeSnapshot(model);
+  const std::string dense_bytes = SerializeSnapshotV2(model, nullptr);
   for (std::int64_t i = 0; i < model.core.size(); i += 2) model.core[i] = 0.0;
-  const std::string sparse_bytes = SerializeSnapshot(model);
+  const std::string sparse_bytes = SerializeSnapshotV2(model, nullptr);
   EXPECT_LT(sparse_bytes.size(), dense_bytes.size());
-  ExpectBitIdentical(model, ParseSnapshot(sparse_bytes));
+
+  const std::string path = TempPath("snapshot_test_sparse.ptks");
+  SaveSnapshotV2(path, model, /*with_centroids=*/false);
+  EXPECT_EQ(MmapSnapshot::Open(path)->core_nnz(), model.core.CountNonZeros());
+  ExpectBitIdentical(model, LoadSnapshot(path));
+  std::filesystem::remove(path);
 }
 
-TEST(SnapshotTest, RejectsBadMagic) {
+// LoadSnapshot copies every byte into an owning model, so it verifies the
+// payload CRC: a flipped bit in a factor value must fail loudly, naming
+// the file, instead of warm-starting from a silently wrong model.
+TEST(SnapshotTest, LoadRejectsCorruptFactorPayload) {
   const TuckerFactorization model = TrainModel(MakeTensor(), 1);
-  std::string bytes = SerializeSnapshot(model);
-  bytes[0] = 'X';
-  EXPECT_THROW(ParseSnapshot(bytes), std::runtime_error);
-}
-
-TEST(SnapshotTest, RejectsVersionMismatch) {
-  const TuckerFactorization model = TrainModel(MakeTensor(), 1);
-  std::string bytes = SerializeSnapshot(model);
-  bytes[4] = static_cast<char>(kSnapshotVersion + 1);  // version field
+  std::string bytes = SerializeSnapshotV2(model, nullptr);
+  std::uint64_t payload_offset = 0;  // factor 0 starts the payload
+  std::memcpy(&payload_offset, bytes.data() + 40, sizeof(payload_offset));
+  bytes[static_cast<std::size_t>(payload_offset) + 3] ^= 0x01;
+  const std::string path = TempPath("snapshot_test_corrupt.ptks");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
   try {
-    ParseSnapshot(bytes);
-    FAIL() << "version mismatch not rejected";
+    LoadSnapshot(path);
+    FAIL() << "corrupt factor payload not rejected";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
-        << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("payload CRC"), std::string::npos) << what;
   }
-}
-
-TEST(SnapshotTest, RejectsCorruptBody) {
-  const TuckerFactorization model = TrainModel(MakeTensor(), 1);
-  const std::string pristine = SerializeSnapshot(model);
-  // A flipped bit anywhere in the body must trip the CRC, never load a
-  // silently wrong model.
-  for (const std::size_t offset :
-       {std::size_t{20}, std::size_t{40}, pristine.size() - 1}) {
-    std::string bytes = pristine;
-    bytes[offset] = static_cast<char>(bytes[offset] ^ 0x20);
-    try {
-      ParseSnapshot(bytes);
-      FAIL() << "corruption at offset " << offset << " not rejected";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos)
-          << e.what();
-    }
-  }
-}
-
-TEST(SnapshotTest, RejectsTruncationAndTrailingBytes) {
-  const TuckerFactorization model = TrainModel(MakeTensor(), 1);
-  const std::string pristine = SerializeSnapshot(model);
-  EXPECT_THROW(ParseSnapshot(pristine.substr(0, 10)), std::runtime_error);
-  EXPECT_THROW(ParseSnapshot(pristine.substr(0, pristine.size() / 2)),
-               std::runtime_error);
-  EXPECT_THROW(ParseSnapshot(pristine + "extra"), std::runtime_error);
-  EXPECT_THROW(ParseSnapshot(""), std::runtime_error);
-}
-
-// Crafted hostile header: correct magic/version/CRC (the CRC is
-// computable by anyone) but dims/ranks declaring terabyte-scale
-// factors/core in a ~100-byte body. The parser must reject it from the
-// byte budget *before* allocating, not OOM or overflow rows*cols.
-TEST(SnapshotTest, RejectsHugeDeclaredShapesWithoutAllocating) {
-  const auto crc32 = [](const std::string& data) {
-    std::uint32_t crc = 0xFFFFFFFFu;
-    for (const char ch : data) {
-      crc ^= static_cast<unsigned char>(ch);
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
-      }
-    }
-    return crc ^ 0xFFFFFFFFu;
-  };
-  const auto append_i64 = [](std::string* out, std::int64_t value) {
-    out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-  };
-  const auto make_snapshot = [&](const std::vector<std::int64_t>& dims,
-                                 const std::vector<std::int64_t>& ranks,
-                                 std::int64_t core_nnz) {
-    std::string body;
-    append_i64(&body, static_cast<std::int64_t>(dims.size()));
-    for (const std::int64_t d : dims) append_i64(&body, d);
-    for (const std::int64_t r : ranks) append_i64(&body, r);
-    append_i64(&body, core_nnz);
-    std::string bytes = "PTKS";
-    const std::uint32_t version = kSnapshotVersion;
-    bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
-    const std::uint32_t crc = crc32(body);
-    bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    const std::uint64_t body_bytes = body.size();
-    bytes.append(reinterpret_cast<const char*>(&body_bytes),
-                 sizeof(body_bytes));
-    return bytes + body;
-  };
-  // Factor 0 would be 2^40 x 8 doubles (64 TiB).
-  EXPECT_THROW(ParseSnapshot(make_snapshot({std::int64_t{1} << 40, 2, 2},
-                                           {8, 1, 1}, 0)),
-               std::runtime_error);
-  // rows * cols would overflow std::int64_t.
-  EXPECT_THROW(ParseSnapshot(make_snapshot({std::int64_t{1} << 62, 2, 2},
-                                           {512, 1, 1}, 0)),
-               std::runtime_error);
-  // Dense core would be 2^39 doubles (4 TiB).
-  EXPECT_THROW(ParseSnapshot(make_snapshot({2, 2, 2},
-                                           {std::int64_t{1} << 13,
-                                            std::int64_t{1} << 13,
-                                            std::int64_t{1} << 13},
-                                           0)),
-               std::runtime_error);
-  // core_nnz claims far more entries than the body holds.
-  EXPECT_THROW(ParseSnapshot(make_snapshot({1, 1, 1}, {1, 1, 1},
-                                           /*core_nnz=*/1)),
-               std::runtime_error);
-}
-
-TEST(SnapshotTest, LoadMissingFileThrows) {
-  EXPECT_THROW(LoadSnapshot("/nonexistent/snapshot.ptks"),
-               std::runtime_error);
+  std::filesystem::remove(path);
 }
 
 // The warm-start contract: checkpoint after k iterations (no
@@ -201,8 +120,10 @@ TEST(SnapshotTest, WarmStartContinuesTrajectoryBitIdentically) {
 
   options.max_iterations = 3;
   const PTuckerResult half = PTuckerDecompose(x, options);
-  const TuckerFactorization checkpoint =
-      ParseSnapshot(SerializeSnapshot(half.model));
+  const std::string path = TempPath("snapshot_test_warm.ptks");
+  SaveSnapshotV2(path, half.model, /*with_centroids=*/false);
+  const TuckerFactorization checkpoint = LoadSnapshot(path);
+  std::filesystem::remove(path);
 
   options.init_snapshot = &checkpoint;
   const PTuckerResult resumed = PTuckerDecompose(x, options);
@@ -232,9 +153,17 @@ TEST(SnapshotTest, WarmStartShapeMismatchThrows) {
 }
 
 TEST(SnapshotTest, SerializeRejectsInconsistentModel) {
-  TuckerFactorization model = TrainModel(MakeTensor(), 1);
-  model.factors.pop_back();
-  EXPECT_THROW(SerializeSnapshot(model), std::runtime_error);
+  const TuckerFactorization trained = TrainModel(MakeTensor(), 1);
+  {
+    TuckerFactorization model = trained;
+    model.factors.pop_back();  // factor count != core order
+    EXPECT_THROW(SerializeSnapshotV2(model, nullptr), std::runtime_error);
+  }
+  {
+    TuckerFactorization model = trained;
+    model.factors[1] = Matrix(15, 3);  // cols != core rank 4
+    EXPECT_THROW(SerializeSnapshotV2(model, nullptr), std::runtime_error);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Snapshot format v2 tests: bit-identical round trips through the
-// mmap-ed loader, the v1 fallback, IVF section round trips, and an
-// exhaustive corruption sweep — a bit flip or truncation at *every* byte
-// offset of a v2 file must be rejected loudly (never UB, never a
-// silently wrong model) when payload verification is on.
+// mmap-ed loader, named rejection of every other format version, IVF
+// section round trips, and an exhaustive corruption sweep — a bit flip
+// or truncation at *every* byte offset of a v2 file must be rejected
+// loudly (never UB, never a silently wrong model) when payload
+// verification is on.
 #include "serve/snapshot_v2.h"
 
 #include <cstdint>
@@ -10,12 +11,12 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/ptucker.h"
-#include "serve/snapshot.h"
 #include "tensor/dense_tensor.h"
 #include "util/random.h"
 
@@ -74,21 +75,67 @@ TEST(SnapshotV2Test, FileRoundTripIsBitIdentical) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV2Test, LoadSnapshotDispatchesOnVersion) {
+TEST(SnapshotV2Test, LoadSnapshotMaterializesTheSameModel) {
   const TuckerFactorization model = MakeModel();
-  const std::string path = TempPath("snapshot_v2_dispatch.ptks");
+  const std::string path = TempPath("snapshot_v2_load.ptks");
   SaveSnapshotV2(path, model, /*with_centroids=*/true);
   ExpectBitIdentical(model, LoadSnapshot(path));
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV2Test, V1FileFallsBackBehindTheSameInterface) {
-  const TuckerFactorization model = MakeModel();
-  const std::string path = TempPath("snapshot_v2_v1fb.ptks");
-  SaveSnapshot(path, model);  // v1 writer
-  const std::unique_ptr<MmapSnapshot> snap = MmapSnapshot::Open(path);
-  EXPECT_FALSE(snap->mapped());  // converted in memory, not mapped
-  ExpectBitIdentical(model, MaterializeModel(*snap));
+// Only v2 is read. A file of any other version — including a complete
+// v1 file, whose 20-byte header is shorter than v2's — fails on its
+// version field, naming the version, the file and the header section,
+// in both loaders.
+TEST(SnapshotV2Test, OtherVersionsAreRejectedByName) {
+  // A whole 60-byte v1 snapshot of an order-1 model: magic, version 1,
+  // body CRC (left 0: the version is checked first), body size, then
+  // order, dim, rank, core nnz and the factor.
+  std::string v1 = "PTKS";
+  const auto append_u32 = [&v1](std::uint32_t value) {
+    v1.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  const auto append_i64 = [&v1](std::int64_t value) {
+    v1.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append_u32(1);
+  append_u32(0);
+  append_i64(40);
+  for (const std::int64_t field : {1, 1, 1, 0}) append_i64(field);
+  const double factor_value = 0.5;
+  v1.append(reinterpret_cast<const char*>(&factor_value),
+            sizeof(factor_value));
+  ASSERT_EQ(v1.size(), 60u);
+
+  const std::string v2 = SerializeSnapshotV2(MakeModel(), nullptr);
+  std::string v3 = v2;
+  v3[4] = 3;  // version field
+  std::string v1_header = v2;
+  v1_header[4] = 1;
+
+  const std::string path = TempPath("snapshot_v2_version.ptks");
+  for (const std::string* bytes : {&v1, &v1_header, &v3}) {
+    const std::string version = std::to_string((*bytes)[4]);
+    WriteFile(path, *bytes);
+    for (const bool materialize : {false, true}) {
+      try {
+        if (materialize) {
+          LoadSnapshot(path);
+        } else {
+          MmapSnapshot::Open(path);
+        }
+        FAIL() << "version " << version << " not rejected";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unsupported snapshot version " + version),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("(file " + path + ", section header)"),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
   std::filesystem::remove(path);
 }
 
@@ -128,13 +175,20 @@ TEST(SnapshotV2Test, ErrorsNameTheFileAndSection) {
   std::string bytes = SerializeSnapshotV2(model, nullptr);
   bytes[0] = 'X';
   WriteFile(path, bytes);
-  try {
-    MmapSnapshot::Open(path);
-    FAIL() << "bad magic not rejected";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(path), std::string::npos) << what;
-    EXPECT_NE(what.find("section"), std::string::npos) << what;
+  for (const bool materialize : {false, true}) {
+    try {
+      if (materialize) {
+        LoadSnapshot(path);
+      } else {
+        MmapSnapshot::Open(path);
+      }
+      FAIL() << "bad magic not rejected";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("section"), std::string::npos) << what;
+    }
   }
   std::filesystem::remove(path);
 }
@@ -197,34 +251,56 @@ TEST(SnapshotV2Test, PayloadVerificationIsOptIn) {
   std::filesystem::remove(path);
 }
 
-// Hostile header: a correctly-checksummed v2 file declaring a 2^40-row
-// factor in a ~4 KB body must be rejected from the byte budget before
-// any view is built or memory allocated.
+// Hostile headers: a correctly-checksummed v2 file (the CRC is
+// computable by anyone) declaring terabyte-scale factors or core in a
+// ~4 KB file must be rejected from the byte budget before any view is
+// built or memory allocated, naming the section at fault.
 TEST(SnapshotV2Test, RejectsHugeDeclaredShapes) {
-  const TuckerFactorization model = MakeModel();
-  std::string bytes = SerializeSnapshotV2(model, nullptr);
+  const std::string pristine = SerializeSnapshotV2(MakeModel(), nullptr);
   std::uint64_t payload_offset = 0;
-  std::memcpy(&payload_offset, bytes.data() + 40, sizeof(payload_offset));
-  // meta layout: order, dims[0..2], ... — patch dims[0] at meta + 8.
-  const std::int64_t huge = std::int64_t{1} << 40;
-  std::memcpy(&bytes[64 + 8], &huge, sizeof(huge));
-  const std::uint32_t meta_crc = SnapshotCrc32(
-      bytes.data() + 64, static_cast<std::size_t>(payload_offset) - 64);
-  std::memcpy(&bytes[8], &meta_crc, sizeof(meta_crc));
+  std::memcpy(&payload_offset, pristine.data() + 40, sizeof(payload_offset));
+  // Meta i64 slots: [0] order, [1..3] dims, [4..6] ranks, [7] core nnz.
+  struct Case {
+    std::vector<std::pair<int, std::int64_t>> patches;
+    const char* section;
+  };
+  const std::int64_t big_rank = std::int64_t{1} << 13;
+  const Case cases[] = {
+      // Factor 0 would be 2^40 x 3 doubles (24 TiB).
+      {{{1, std::int64_t{1} << 40}}, "factor 0"},
+      // rows * cols would overflow std::int64_t.
+      {{{1, std::int64_t{1} << 62}, {4, 512}}, "factor 0"},
+      // A dense core of 2^39 doubles (4 TiB).
+      {{{4, big_rank}, {5, big_rank}, {6, big_rank}}, "core too large"},
+      // core_nnz claims all 12 core entries; the file holds 8 values.
+      {{{7, 12}}, "core values"},
+  };
   const std::string path = TempPath("snapshot_v2_huge.ptks");
-  WriteFile(path, bytes);
-  try {
-    MmapSnapshot::Open(path);
-    FAIL() << "huge declared factor not rejected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("factor 0"), std::string::npos)
-        << e.what();
+  for (const Case& c : cases) {
+    std::string bytes = pristine;
+    for (const auto& [slot, value] : c.patches) {
+      std::memcpy(&bytes[64 + 8 * static_cast<std::size_t>(slot)], &value,
+                  sizeof(value));
+    }
+    const std::uint32_t meta_crc = SnapshotCrc32(
+        bytes.data() + 64, static_cast<std::size_t>(payload_offset) - 64);
+    std::memcpy(&bytes[8], &meta_crc, sizeof(meta_crc));
+    WriteFile(path, bytes);
+    try {
+      MmapSnapshot::Open(path);
+      FAIL() << "huge declared shape not rejected (" << c.section << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.section), std::string::npos)
+          << e.what();
+    }
   }
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV2Test, OpenMissingFileThrows) {
+TEST(SnapshotV2Test, MissingFileThrows) {
   EXPECT_THROW(MmapSnapshot::Open("/nonexistent/model_v2.ptks"),
+               std::runtime_error);
+  EXPECT_THROW(LoadSnapshot("/nonexistent/model_v2.ptks"),
                std::runtime_error);
 }
 

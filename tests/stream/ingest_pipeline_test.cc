@@ -25,8 +25,8 @@
 
 #include "core/delta_engine.h"
 #include "data/synthetic.h"
-#include "serve/snapshot.h"
 #include "serve/service.h"
+#include "serve/snapshot_v2.h"
 #include "tensor/dense_tensor.h"
 #include "tensor/index.h"
 #include "util/random.h"

@@ -125,7 +125,6 @@
 #include "serve/net/client.h"
 #include "serve/net/server.h"
 #include "serve/service.h"
-#include "serve/snapshot.h"
 #include "serve/snapshot_v2.h"
 #include "stream/event_log.h"
 #include "stream/ingest_pipeline.h"
@@ -593,8 +592,7 @@ PredictionService MakeService(const CliConfig& config) {
   if (config.load_model.empty()) {
     Fail(config.subcommand + " requires --load-model PATH");
   }
-  // v2 snapshots are mmap-ed and served zero-copy; v1 files fall back to
-  // an in-memory conversion behind the same interface.
+  // The snapshot is mmap-ed and served zero-copy.
   std::shared_ptr<const ModelSnapshot> snapshot =
       ModelSnapshot::CreateFromFile(config.load_model, config.tile_width);
   std::printf("model: %lld modes, dims ",
@@ -970,8 +968,8 @@ int RunSolve(const CliConfig& config) {
   return 0;
 }
 
-// convert-model: parse any supported snapshot and rewrite it as v2 with
-// IVF centroids embedded, so topk --topk-nprobe can probe it.
+// convert-model: load a snapshot (payload CRC verified) and rewrite it
+// with IVF centroids embedded, so topk --topk-nprobe can probe it.
 int RunConvertModel(const CliConfig& config) {
   if (config.load_model.empty()) {
     Fail("convert-model requires --load-model PATH");
