@@ -1,5 +1,6 @@
 #include "serve/snapshot_v2.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -467,48 +468,113 @@ void MmapSnapshot::ParseV2(const std::string& path, bool verify_payload) {
                 "core nnz " + std::to_string(core_nnz) + " out of range");
   }
 
-  // Every section must be 64-aligned inside the payload and its extent
-  // must fit the file; the element count is divided into the remaining
-  // bytes so a hostile header cannot overflow count * element_size.
-  const auto check_section = [&](std::int64_t offset, std::uint64_t count,
-                                 std::uint64_t element_bytes,
-                                 const std::string& section) {
-    if (offset < static_cast<std::int64_t>(payload_offset) ||
-        offset % kSnapshotV2Alignment != 0 ||
-        static_cast<std::uint64_t>(offset) > size_) {
-      ThrowFormat(path, section, "section offset out of bounds or unaligned");
+  // Every section's place comes from the meta before any view is built.
+  // Each must start 64-aligned inside the payload, and the non-empty ones,
+  // taken in offset order, must each end by the start of the next (the last
+  // by the end of the file), so no two views alias the same bytes. Counts
+  // are divided into the bytes available, so a hostile header cannot
+  // overflow count * element_bytes.
+  struct Section {
+    std::string name;
+    std::int64_t offset;
+    std::uint64_t count;
+    std::uint64_t element_bytes;
+  };
+  std::vector<Section> sections;
+  for (std::int64_t n = 0; n < order; ++n) {
+    const std::int64_t offset = meta.ReadI64("meta");
+    // cols <= kMaxCoreElements, so cols * sizeof(double) cannot overflow.
+    sections.push_back(
+        {"factor " + std::to_string(n), offset,
+         static_cast<std::uint64_t>(dims_[static_cast<std::size_t>(n)]),
+         static_cast<std::uint64_t>(ranks_[static_cast<std::size_t>(n)]) *
+             sizeof(double)});
+  }
+  const std::int64_t indices_offset = meta.ReadI64("meta");
+  sections.push_back({"core indices", indices_offset,
+                      static_cast<std::uint64_t>(core_nnz),
+                      static_cast<std::uint64_t>(order) *
+                          sizeof(std::int32_t)});
+  const std::int64_t values_offset = meta.ReadI64("meta");
+  sections.push_back({"core values", values_offset,
+                      static_cast<std::uint64_t>(core_nnz), sizeof(double)});
+  // Per indexed mode, the index in `sections` of its centroids (then its
+  // offsets and ids); modes without an index keep -1.
+  std::vector<std::int64_t> ivf_section(static_cast<std::size_t>(order), -1);
+  if ((flags & kFlagIvf) != 0) {
+    for (std::int64_t n = 0; n < order; ++n) {
+      const std::string section = "ivf mode " + std::to_string(n);
+      const std::int64_t k = meta.ReadI64("meta");
+      const std::int64_t centroids_offset = meta.ReadI64("meta");
+      const std::int64_t csr_offset = meta.ReadI64("meta");
+      const std::int64_t ids_offset = meta.ReadI64("meta");
+      if (k == 0) continue;
+      const std::int64_t rows = dims_[static_cast<std::size_t>(n)];
+      const std::int64_t rank = ranks_[static_cast<std::size_t>(n)];
+      if (k < 0 || k > rows) {
+        ThrowFormat(path, section, "cluster count out of range");
+      }
+      ivf_section[static_cast<std::size_t>(n)] =
+          static_cast<std::int64_t>(sections.size());
+      sections.push_back({section + " centroids", centroids_offset,
+                          static_cast<std::uint64_t>(k),
+                          static_cast<std::uint64_t>(rank) * sizeof(double)});
+      sections.push_back({section + " offsets", csr_offset,
+                          static_cast<std::uint64_t>(k) + 1,
+                          sizeof(std::int64_t)});
+      sections.push_back({section + " ids", ids_offset,
+                          static_cast<std::uint64_t>(rows),
+                          sizeof(std::int32_t)});
     }
-    if (count > (size_ - static_cast<std::uint64_t>(offset)) /
-                    element_bytes) {
-      ThrowFormat(path, section, "section extends past the end of the file");
+  }
+  if (meta.remaining() != 0) {
+    ThrowFormat(path, "meta", "trailing bytes inside the meta section");
+  }
+
+  std::vector<const Section*> by_offset;
+  for (const Section& section : sections) {
+    if (section.offset < static_cast<std::int64_t>(payload_offset) ||
+        section.offset % kSnapshotV2Alignment != 0 ||
+        static_cast<std::uint64_t>(section.offset) > size_) {
+      ThrowFormat(path, section.name,
+                  "section offset out of bounds or unaligned");
     }
+    if (section.count != 0) by_offset.push_back(&section);
+  }
+  std::stable_sort(by_offset.begin(), by_offset.end(),
+                   [](const Section* a, const Section* b) {
+                     return a->offset < b->offset;
+                   });
+  for (std::size_t i = 0; i < by_offset.size(); ++i) {
+    const Section& section = *by_offset[i];
+    const bool last = i + 1 == by_offset.size();
+    const std::uint64_t limit =
+        last ? size_ : static_cast<std::uint64_t>(by_offset[i + 1]->offset);
+    if (section.count >
+        (limit - static_cast<std::uint64_t>(section.offset)) /
+            section.element_bytes) {
+      ThrowFormat(path, section.name,
+                  last ? "section extends past the end of the file"
+                       : "section overlaps the next section (" +
+                             by_offset[i + 1]->name + ")");
+    }
+  }
+  const auto at = [&](std::size_t section) {
+    return base_ + sections[section].offset;
   };
 
   factors_.clear();
   factors_.reserve(static_cast<std::size_t>(order));
   for (std::int64_t n = 0; n < order; ++n) {
-    const std::int64_t offset = meta.ReadI64("meta");
-    const std::int64_t rows = dims_[static_cast<std::size_t>(n)];
-    const std::int64_t cols = ranks_[static_cast<std::size_t>(n)];
-    const std::string section = "factor " + std::to_string(n);
-    // cols <= kMaxCoreElements, so cols * sizeof(double) cannot overflow.
-    check_section(offset, static_cast<std::uint64_t>(rows),
-                  static_cast<std::uint64_t>(cols) * sizeof(double), section);
     factors_.emplace_back(
-        reinterpret_cast<const double*>(base_ + offset), rows, cols);
+        reinterpret_cast<const double*>(at(static_cast<std::size_t>(n))),
+        dims_[static_cast<std::size_t>(n)],
+        ranks_[static_cast<std::size_t>(n)]);
   }
-
-  const std::int64_t indices_offset = meta.ReadI64("meta");
-  check_section(indices_offset, static_cast<std::uint64_t>(core_nnz),
-                static_cast<std::uint64_t>(order) * sizeof(std::int32_t),
-                "core indices");
-  core_indices_ = {reinterpret_cast<const std::int32_t*>(
-                       base_ + indices_offset),
+  const std::size_t core = static_cast<std::size_t>(order);
+  core_indices_ = {reinterpret_cast<const std::int32_t*>(at(core)),
                    static_cast<std::size_t>(core_nnz * order)};
-  const std::int64_t values_offset = meta.ReadI64("meta");
-  check_section(values_offset, static_cast<std::uint64_t>(core_nnz),
-                sizeof(double), "core values");
-  core_values_ = {reinterpret_cast<const double*>(base_ + values_offset),
+  core_values_ = {reinterpret_cast<const double*>(at(core + 1)),
                   static_cast<std::size_t>(core_nnz)};
 
   // Core multi-indices feed engine kernels unchecked, so validate every
@@ -525,54 +591,35 @@ void MmapSnapshot::ParseV2(const std::string& path, bool verify_payload) {
   }
 
   ivf_.assign(static_cast<std::size_t>(order), IvfModeView{});
-  if ((flags & kFlagIvf) != 0) {
-    for (std::int64_t n = 0; n < order; ++n) {
-      const std::string section = "ivf mode " + std::to_string(n);
-      const std::int64_t k = meta.ReadI64("meta");
-      const std::int64_t centroids_offset = meta.ReadI64("meta");
-      const std::int64_t csr_offset = meta.ReadI64("meta");
-      const std::int64_t ids_offset = meta.ReadI64("meta");
-      if (k == 0) continue;
-      const std::int64_t rows = dims_[static_cast<std::size_t>(n)];
-      const std::int64_t rank = ranks_[static_cast<std::size_t>(n)];
-      if (k < 0 || k > rows) {
-        ThrowFormat(path, section, "cluster count out of range");
-      }
-      check_section(centroids_offset, static_cast<std::uint64_t>(k),
-                    static_cast<std::uint64_t>(rank) * sizeof(double),
-                    section + " centroids");
-      check_section(csr_offset, static_cast<std::uint64_t>(k) + 1,
-                    sizeof(std::int64_t), section + " offsets");
-      check_section(ids_offset, static_cast<std::uint64_t>(rows),
-                    sizeof(std::int32_t), section + " ids");
-      IvfModeView& view = ivf_[static_cast<std::size_t>(n)];
-      view.k = k;
-      view.centroids = FactorView(
-          reinterpret_cast<const double*>(base_ + centroids_offset), k, rank);
-      view.offsets = {reinterpret_cast<const std::int64_t*>(base_ +
-                                                            csr_offset),
-                      static_cast<std::size_t>(k + 1)};
-      view.ids = {reinterpret_cast<const std::int32_t*>(base_ + ids_offset),
-                  static_cast<std::size_t>(rows)};
-      // CSR boundaries are walked by the prober; reject broken ones now
-      // (member ids themselves are range-checked at probe time, keeping
-      // load cost independent of I_n).
-      if (view.offsets[0] != 0 ||
-          view.offsets[static_cast<std::size_t>(k)] != rows) {
-        ThrowFormat(path, section + " offsets",
-                    "cluster boundaries do not span the rows");
-      }
-      for (std::int64_t c = 0; c < k; ++c) {
-        if (view.offsets[static_cast<std::size_t>(c)] >
-            view.offsets[static_cast<std::size_t>(c) + 1]) {
-          ThrowFormat(path, section + " offsets",
-                      "cluster boundaries decrease");
-        }
+  for (std::int64_t n = 0; n < order; ++n) {
+    const std::int64_t first = ivf_section[static_cast<std::size_t>(n)];
+    if (first < 0) continue;
+    const std::size_t centroids = static_cast<std::size_t>(first);
+    const std::int64_t k = static_cast<std::int64_t>(sections[centroids].count);
+    const std::int64_t rows = dims_[static_cast<std::size_t>(n)];
+    IvfModeView& view = ivf_[static_cast<std::size_t>(n)];
+    view.k = k;
+    view.centroids =
+        FactorView(reinterpret_cast<const double*>(at(centroids)), k,
+                   ranks_[static_cast<std::size_t>(n)]);
+    view.offsets = {reinterpret_cast<const std::int64_t*>(at(centroids + 1)),
+                    static_cast<std::size_t>(k + 1)};
+    view.ids = {reinterpret_cast<const std::int32_t*>(at(centroids + 2)),
+                static_cast<std::size_t>(rows)};
+    // CSR boundaries are walked by the prober; reject broken ones now
+    // (member ids themselves are range-checked at probe time, keeping
+    // load cost independent of I_n).
+    const std::string& section = sections[centroids + 1].name;
+    if (view.offsets[0] != 0 ||
+        view.offsets[static_cast<std::size_t>(k)] != rows) {
+      ThrowFormat(path, section, "cluster boundaries do not span the rows");
+    }
+    for (std::int64_t c = 0; c < k; ++c) {
+      if (view.offsets[static_cast<std::size_t>(c)] >
+          view.offsets[static_cast<std::size_t>(c) + 1]) {
+        ThrowFormat(path, section, "cluster boundaries decrease");
       }
     }
-  }
-  if (meta.remaining() != 0) {
-    ThrowFormat(path, "meta", "trailing bytes inside the meta section");
   }
 }
 

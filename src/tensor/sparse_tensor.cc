@@ -1,6 +1,8 @@
 #include "tensor/sparse_tensor.h"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "tensor/index.h"
 #include "util/logging.h"
@@ -10,6 +12,39 @@ namespace ptucker {
 SparseTensor::SparseTensor(std::vector<std::int64_t> dims)
     : dims_(std::move(dims)) {
   for (std::int64_t d : dims_) PTUCKER_CHECK(d > 0);
+}
+
+SparseTensor::SparseTensor(std::vector<std::int64_t> dims,
+                           std::vector<std::int64_t> indices,
+                           std::vector<double> values)
+    : dims_(std::move(dims)),
+      indices_(std::move(indices)),
+      values_(std::move(values)) {
+  const std::size_t n_modes = dims_.size();
+  for (std::size_t k = 0; k < n_modes; ++k) {
+    if (dims_[k] <= 0) {
+      throw std::runtime_error("SparseTensor: mode " + std::to_string(k) +
+                               " has non-positive dim " +
+                               std::to_string(dims_[k]));
+    }
+  }
+  if ((n_modes == 0 && !values_.empty()) ||
+      indices_.size() != values_.size() * n_modes) {
+    throw std::runtime_error(
+        "SparseTensor: " + std::to_string(indices_.size()) +
+        " indices do not fit " + std::to_string(values_.size()) +
+        " entries of order " + std::to_string(n_modes));
+  }
+  for (std::int64_t e = 0; e < nnz(); ++e) {
+    if (IndexInBounds(index(e), dims_)) continue;
+    std::size_t k = 0;
+    while (index(e)[k] >= 0 && index(e)[k] < dims_[k]) ++k;
+    throw std::runtime_error("SparseTensor: index " +
+                             std::to_string(index(e)[k]) + " of entry " +
+                             std::to_string(e) + " is outside mode " +
+                             std::to_string(k) + " (dim " +
+                             std::to_string(dims_[k]) + ")");
+  }
 }
 
 void SparseTensor::Reserve(std::int64_t entries) {

@@ -27,6 +27,13 @@ class SparseTensor {
   /// Creates an empty tensor with the given mode dimensionalities.
   explicit SparseTensor(std::vector<std::int64_t> dims);
 
+  /// Adopts `indices` (nnz x order, entry-major, 0-based) and the parallel
+  /// `values` without copying them. Throws std::runtime_error naming the
+  /// fault if a dim is not positive, the two sizes disagree, or an index
+  /// is outside its mode (the entry and mode are named).
+  SparseTensor(std::vector<std::int64_t> dims,
+               std::vector<std::int64_t> indices, std::vector<double> values);
+
   std::int64_t order() const {
     return static_cast<std::int64_t>(dims_.size());
   }

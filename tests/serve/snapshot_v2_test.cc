@@ -297,6 +297,36 @@ TEST(SnapshotV2Test, RejectsHugeDeclaredShapes) {
   std::filesystem::remove(path);
 }
 
+// Sections may not share bytes. core_nnz patched from 8 to 12 (with the
+// meta CRC recomputed) stretches the core indices over the start of the
+// core values; the parser must name the core indices, the section whose
+// extent is wrong, instead of reading values as indices.
+TEST(SnapshotV2Test, OverlappingSectionsAreRejected) {
+  std::string bytes = SerializeSnapshotV2(MakeModel(), nullptr);
+  std::uint64_t payload_offset = 0;
+  std::memcpy(&payload_offset, bytes.data() + 40, sizeof(payload_offset));
+  std::int64_t core_nnz = 0;
+  std::memcpy(&core_nnz, &bytes[64 + 8 * 7], sizeof(core_nnz));
+  ASSERT_EQ(core_nnz, 8);
+  core_nnz = 12;
+  std::memcpy(&bytes[64 + 8 * 7], &core_nnz, sizeof(core_nnz));
+  const std::uint32_t meta_crc = SnapshotCrc32(
+      bytes.data() + 64, static_cast<std::size_t>(payload_offset) - 64);
+  std::memcpy(&bytes[8], &meta_crc, sizeof(meta_crc));
+  const std::string path = TempPath("snapshot_v2_overlap.ptks");
+  WriteFile(path, bytes);
+  try {
+    MmapSnapshot::Open(path);
+    FAIL() << "overlapping sections not rejected";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("overlaps"), std::string::npos) << what;
+    EXPECT_NE(what.find("section core indices)"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(SnapshotV2Test, MissingFileThrows) {
   EXPECT_THROW(MmapSnapshot::Open("/nonexistent/model_v2.ptks"),
                std::runtime_error);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -150,6 +151,23 @@ TEST(SparseTensorTest, RemoveEntriesEdgeCases) {
   EXPECT_EQ(t.nnz(), 4);
   EXPECT_EQ(t.RemoveEntries(std::vector<char>(4, 1)), 4);  // remove all
   EXPECT_EQ(t.nnz(), 0);
+}
+
+TEST(SparseTensorTest, AdoptingConstructorChecksItsInput) {
+  const SparseTensor t({2, 3}, {0, 2, 1, 0}, {1.5, -2.0});
+  EXPECT_EQ(t.nnz(), 2);
+  EXPECT_EQ(t.index(1, 0), 1);
+  EXPECT_EQ(t.value(1), -2.0);
+  EXPECT_EQ(SparseTensor({2, 3}, {}, {}).nnz(), 0);
+  // Each fault is a named std::runtime_error, not an abort.
+  EXPECT_THROW(SparseTensor({2, 0}, {}, {}), std::runtime_error);
+  EXPECT_THROW(SparseTensor({2, 3}, {0, 2, 1}, {1.5, -2.0}),
+               std::runtime_error);
+  EXPECT_THROW(SparseTensor({}, {}, {1.0}), std::runtime_error);
+  EXPECT_THROW(SparseTensor({2, 3}, {0, 2, 1, 3}, {1.5, -2.0}),
+               std::runtime_error);
+  EXPECT_THROW(SparseTensor({2, 3}, {0, 2, -1, 0}, {1.5, -2.0}),
+               std::runtime_error);
 }
 
 TEST(SparseTensorDeathTest, RemoveEntriesFlagCountMustMatchNnz) {
