@@ -11,10 +11,13 @@
 // reported in the accuracy column — its reconstruct kernel stays exact).
 //
 // Every variant of a config is built once, then timed in 7 interleaved
-// rounds — one δ-sweep and one reconstruct sweep per variant per round,
+// rounds — one δ-sweep and one reconstruct sample per variant per round,
 // the starting variant rotating from round to round — and compared by
 // its per-variant median, so a slow moment of the host lands on one
 // round of every variant instead of on one variant's whole measurement.
+// A reconstruct sample repeats the sweep until even the config's fastest
+// variant spans >= 20 ms (the same count for every variant), and is
+// reported per sweep: a lone 3–6 ms sweep sits inside the host's noise.
 //
 // Exit status is the Release CI perf gate (docs/benchmarks.md): 0 only if
 // at least one single config simultaneously shows (a) modemajor B=1
@@ -59,13 +62,16 @@ struct Variant {
 // Interleaved timing rounds per config; the gate compares medians.
 constexpr int kRounds = 7;
 
+// Minimum span of one timed reconstruct sample.
+constexpr double kMinRecSampleSeconds = 0.020;
+
 // One variant's engine, its per-round timings and its last outputs (kept
 // so every variant can be compared against the naive oracle exactly).
 struct VariantRun {
   std::unique_ptr<DeltaEngine> engine;
   double build_seconds = 0.0;
   std::vector<double> sweep_times;  // one full δ-sweep per round
-  std::vector<double> rec_times;    // one full reconstruct sweep per round
+  std::vector<double> rec_times;    // seconds per reconstruct sweep, per round
   std::vector<double> deltas;       // the full |Ω|·N·J delta block
   std::vector<double> xhat;         // the |Ω| x̂ block
 };
@@ -77,10 +83,11 @@ struct EntryBatch {
 };
 
 // Times one full δ-sweep (every entry × every mode through DeltaBatch)
-// and one full reconstruct sweep (ReconstructBatch over every entry) of
-// `run`'s engine, appending one sample to each of its timing series.
+// and `rec_repeats` full reconstruct sweeps (ReconstructBatch over every
+// entry) of `run`'s engine, appending one sample to each of its timing
+// series; the reconstruct sample is the mean time per sweep.
 void TimeRound(const EntryBatch& batch, std::int64_t order, std::int64_t rank,
-               VariantRun* run) {
+               std::int64_t rec_repeats, VariantRun* run) {
   const std::int64_t nnz = static_cast<std::int64_t>(batch.entries.size());
   run->deltas.resize(static_cast<std::size_t>(order * nnz * rank));
   Stopwatch sweep_clock;
@@ -92,8 +99,29 @@ void TimeRound(const EntryBatch& batch, std::int64_t order, std::int64_t rank,
 
   run->xhat.resize(static_cast<std::size_t>(nnz));
   Stopwatch rec_clock;
-  run->engine->ReconstructBatch(nnz, batch.indices.data(), run->xhat.data());
-  run->rec_times.push_back(rec_clock.ElapsedSeconds());
+  for (std::int64_t r = 0; r < rec_repeats; ++r) {
+    run->engine->ReconstructBatch(nnz, batch.indices.data(), run->xhat.data());
+  }
+  run->rec_times.push_back(rec_clock.ElapsedSeconds() /
+                           static_cast<double>(rec_repeats));
+}
+
+// Reconstruct sweeps per timed sample for one config: enough that the
+// fastest variant's sample spans kMinRecSampleSeconds, measured on a
+// second (warm) sweep of every variant.
+std::int64_t RecRepeats(const EntryBatch& batch,
+                        std::vector<VariantRun>* runs) {
+  const std::int64_t nnz = static_cast<std::int64_t>(batch.entries.size());
+  double fastest = kMinRecSampleSeconds;
+  for (VariantRun& run : *runs) {
+    run.xhat.resize(static_cast<std::size_t>(nnz));
+    run.engine->ReconstructBatch(nnz, batch.indices.data(), run.xhat.data());
+    Stopwatch clock;
+    run.engine->ReconstructBatch(nnz, batch.indices.data(), run.xhat.data());
+    fastest = std::min(fastest, clock.ElapsedSeconds());
+  }
+  return static_cast<std::int64_t>(
+      std::ceil(kMinRecSampleSeconds / std::max(fastest, 1e-9)));
 }
 
 double MaxAbsDeviation(const std::vector<double>& a,
@@ -123,7 +151,8 @@ double SolveSeconds(const Variant& variant, const SparseTensor& x,
 int main() {
   PrintHeader("DeltaEngine comparison (Fig. 6-style synthetic configs)",
               "full delta-sweep = |Omega| x N DeltaBatch calls; "
-              "reconstruct sweep = |Omega| ReconstructBatch x-hats; "
+              "reconstruct sweep = |Omega| ReconstructBatch x-hats, "
+              "repeated to >= 20 ms per sample; "
               "solve = 2 P-Tucker iterations; sweep times are medians "
               "of 7 interleaved rounds; "
               "accuracy = max |delta - delta_naive| over the sweep");
@@ -153,7 +182,7 @@ int main() {
   // Reconstruct-sweep rows: the same engines driving the metric /
   // truncation-scan workload (x-hat for every observed entry). Every
   // engine's reconstruct kernel is exact, including at ε > 0.
-  TablePrinter rec_table({"config", "engine", "rec s", "speedup"});
+  TablePrinter rec_table({"config", "engine", "repeats", "rec s", "speedup"});
   // The gate (docs/benchmarks.md): some single config must exhibit all
   // four wins at once. The per-condition flags are reported for
   // diagnosis when the combined gate fails.
@@ -202,9 +231,10 @@ int main() {
                                        variants[v].tile_width);
       runs[v].build_seconds = build_clock.ElapsedSeconds();
     }
+    const std::int64_t rec_repeats = RecRepeats(batch, &runs);
     for (int round = 0; round < kRounds; ++round) {
       for (std::size_t i = 0; i < count; ++i) {
-        TimeRound(batch, config.order, config.rank,
+        TimeRound(batch, config.order, config.rank, rec_repeats,
                   &runs[(static_cast<std::size_t>(round) + i) % count]);
       }
     }
@@ -256,7 +286,8 @@ int main() {
                     FormatDouble(sweep[v], 4),
                     FormatDouble(sweep[0] / sweep[v], 2) + "x", accuracy,
                     FormatDouble(SolveSeconds(variant, x, ranks), 4)});
-      rec_table.AddRow({name, variant.label, FormatDouble(rec[v], 4),
+      rec_table.AddRow({name, variant.label, std::to_string(rec_repeats),
+                        FormatDouble(rec[v], 4),
                         FormatDouble(rec[0] / rec[v], 2) + "x"});
     }
     modemajor_beat_naive |= config_modemajor_win;

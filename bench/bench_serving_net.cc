@@ -276,6 +276,25 @@ void ReportOverloadCounters(int port, const char* label) {
                   ScrapeCounter(text, "ptucker_serve_shed_total")));
 }
 
+// The coalescer's batch-size histogram: executed batches, their mean
+// width, and the per-bucket batch counts (empty buckets skipped).
+void PrintBatchHistogram(const NetServer& server, const char* label) {
+  const obs::HistogramSnapshot batches =
+      server.metrics().batch_size->Snapshot();
+  std::printf("batch sizes (%s): %llu batches, mean %.1f\n", label,
+              static_cast<unsigned long long>(batches.count),
+              batches.count > 0
+                  ? batches.sum / static_cast<double>(batches.count)
+                  : 0.0);
+  std::uint64_t below = 0;
+  for (std::size_t b = 0; b < batches.bounds.size(); ++b) {
+    if (batches.counts[b] == below) continue;
+    std::printf("  <= %-5.0f %llu\n", batches.bounds[b],
+                static_cast<unsigned long long>(batches.counts[b] - below));
+    below = batches.counts[b];
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -314,9 +333,8 @@ int main(int argc, char** argv) {
     AddResultRow(&table, "coalesced (rate)", options.connections, result,
                  static_cast<double>(options.rate));
     table.Print();
-    std::printf("\nmax batch observed: %llu\n",
-                static_cast<unsigned long long>(
-                    server.stats().max_batch_observed.load()));
+    std::printf("\n");
+    PrintBatchHistogram(server, "coalesced (rate)");
     return 0;
   }
 
@@ -349,7 +367,6 @@ int main(int argc, char** argv) {
   }
 
   RunResult coalesced_result;
-  std::uint64_t max_batch_observed = 0;
   {
     obs::MetricsRegistry registry;
     coalesced.metrics_registry = &registry;
@@ -357,8 +374,8 @@ int main(int argc, char** argv) {
     server.Start();
     coalesced_result = RunClosedLoop(server.port(), options, queries);
     ReportOverloadCounters(server.port(), "coalesced server");
-    max_batch_observed = server.stats().max_batch_observed.load();
     server.Stop();
+    PrintBatchHistogram(server, "coalesced");
   }
 
   TablePrinter table({"config", "conns", "QPS", "p50 ms", "p99 ms",
@@ -368,8 +385,6 @@ int main(int argc, char** argv) {
   AddResultRow(&table, "coalesced server", options.connections,
                coalesced_result, batch1_result.qps);
   table.Print();
-  std::printf("\nmax batch observed (coalesced): %llu\n",
-              static_cast<unsigned long long>(max_batch_observed));
 
   const double ratio = coalesced_result.qps / batch1_result.qps;
   const bool gate = ratio >= 1.3;

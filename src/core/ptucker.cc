@@ -33,6 +33,7 @@ void ValidateInputs(const SparseTensor& x, const PTuckerOptions& options) {
     throw std::invalid_argument(
         "P-Tucker: call SparseTensor::BuildModeIndex() before decomposing");
   }
+  CheckUniqueCoordinates(x, "P-Tucker");
   if (static_cast<std::int64_t>(options.core_dims.size()) != x.order()) {
     throw std::invalid_argument(
         "P-Tucker: core_dims order does not match tensor order");

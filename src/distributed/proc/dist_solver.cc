@@ -60,6 +60,7 @@ void ValidateDistributed(const SparseTensor& x, const PTuckerOptions& options,
         "distributed P-Tucker: call SparseTensor::BuildModeIndex() before "
         "decomposing");
   }
+  CheckUniqueCoordinates(x, "distributed P-Tucker");
   if (static_cast<std::int64_t>(options.core_dims.size()) != x.order()) {
     throw std::invalid_argument(
         "distributed P-Tucker: core_dims order does not match tensor order");

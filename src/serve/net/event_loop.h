@@ -4,7 +4,7 @@
 /// connections across loops), its own epoll instance, and its own set
 /// of nonblocking connections. Each connection runs a small state
 /// machine — read bytes, decode frames, answer control frames (PING /
-/// STATS) inline, hand PREDICT / TOPK to the BatchCoalescer, flush
+/// METRICS) inline, hand PREDICT / TOPK to the BatchCoalescer, flush
 /// queued reply bytes — and two backpressure rules keep memory bounded:
 /// a connection whose decoded request the full coalescer queue refuses,
 /// or whose unsent reply backlog exceeds the cap, has its EPOLLIN
@@ -44,20 +44,19 @@ class EventLoop : public ReplySink {
     /// queue. -1 (default) parks forever behind TCP flow control; 0
     /// sheds immediately; > 0 sheds after that many milliseconds. A
     /// shed request is answered with WireStatus::kOverloaded (the
-    /// connection stays open) and counted in overloads_shed.
+    /// connection stays open) and counted in ptucker_serve_shed_total.
     std::int64_t overload_timeout_ms = -1;
   };
 
-  /// `coalescer` and `stats` must outlive the loop. `id_base` makes
-  /// connection ids unique across loops (each loop allocates
-  /// monotonically above its base; ids are never reused, so a reply for
-  /// a closed connection can never alias a new one the way raw fds do).
+  /// `coalescer` must outlive the loop. `id_base` makes connection ids
+  /// unique across loops (each loop allocates monotonically above its
+  /// base; ids are never reused, so a reply for a closed connection can
+  /// never alias a new one the way raw fds do).
   /// `metrics` selects the telemetry bundle (nullptr = the process-wide
   /// ServeNetMetrics::Global()); the METRICS opcode serves that
   /// bundle's registry.
-  EventLoop(int listen_fd, BatchCoalescer* coalescer, ServerStats* stats,
-            std::uint64_t id_base, const Options& options,
-            const ServeNetMetrics* metrics = nullptr);
+  EventLoop(int listen_fd, BatchCoalescer* coalescer, std::uint64_t id_base,
+            const Options& options, const ServeNetMetrics* metrics = nullptr);
   ~EventLoop() override;
 
   /// The reactor: blocks until Stop(). Closes every connection and the
@@ -134,7 +133,6 @@ class EventLoop : public ReplySink {
 
   const int listen_fd_;
   BatchCoalescer* const coalescer_;
-  ServerStats* const stats_;
   const Options options_;
   const ServeNetMetrics metrics_;
   int epoll_fd_ = -1;

@@ -28,7 +28,12 @@ struct ServeNetMetrics {
   /// METRICS opcode serves its ExpositionText().
   obs::MetricsRegistry* registry = nullptr;
 
+  obs::Counter* connections_total = nullptr;  ///< TCP connections accepted
   obs::Counter* requests_total = nullptr;   ///< frames dispatched, by loop
+  obs::Counter* pings_total = nullptr;      ///< PING frames answered
+  obs::Counter* predicts_total = nullptr;   ///< PREDICTs answered OK
+  obs::Counter* topks_total = nullptr;      ///< TOPKs answered OK
+  obs::Counter* errors_total = nullptr;     ///< error replies, any status
   obs::Counter* parked_total = nullptr;     ///< requests parked on a full queue
   obs::Counter* shed_total = nullptr;       ///< parked requests shed OVERLOADED
   obs::Gauge* queue_depth = nullptr;        ///< coalescer queue occupancy

@@ -408,13 +408,11 @@ SparseTensor ReplayOmega(const SparseTensor& initial,
   const std::int64_t order = tensor.order();
   const auto strides = ComputeStrides(tensor.dims());
 
+  CheckUniqueCoordinates(tensor, "replay");
   std::unordered_map<std::int64_t, std::int64_t> key_to_entry;
   key_to_entry.reserve(static_cast<std::size_t>(tensor.nnz()) * 2);
   for (std::int64_t e = 0; e < tensor.nnz(); ++e) {
-    if (!key_to_entry.emplace(Linearize(tensor.index(e), strides, order), e)
-             .second) {
-      throw std::invalid_argument("replay: tensor has duplicate coordinates");
-    }
+    key_to_entry.emplace(Linearize(tensor.index(e), strides, order), e);
   }
 
   std::vector<std::int64_t> delete_ids;

@@ -1,5 +1,6 @@
 #include "tensor/sparse_tensor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -139,6 +140,40 @@ std::int64_t SparseTensor::SliceSize(std::int64_t mode, std::int64_t i) const {
 std::int64_t SparseTensor::ByteSize() const {
   return static_cast<std::int64_t>(indices_.size() * sizeof(std::int64_t) +
                                    values_.size() * sizeof(double));
+}
+
+void CheckUniqueCoordinates(const SparseTensor& x, const std::string& context) {
+  // Open-addressing set of entry ids, load factor <= 1/2, keyed by a
+  // splitmix64 chain over the coordinate tuple.
+  const std::int64_t order = x.order();
+  std::size_t capacity = 2;
+  while (capacity < 2 * static_cast<std::size_t>(x.nnz())) capacity <<= 1;
+  std::vector<std::int64_t> slots(capacity, -1);
+  for (std::int64_t e = 0; e < x.nnz(); ++e) {
+    const std::int64_t* index = x.index(e);
+    std::uint64_t hash = 0;
+    for (std::int64_t n = 0; n < order; ++n) {
+      hash = (hash ^ static_cast<std::uint64_t>(index[n])) +
+             0x9E3779B97F4A7C15ULL;
+      hash = (hash ^ (hash >> 30)) * 0xBF58476D1CE4E5B9ULL;
+      hash = (hash ^ (hash >> 27)) * 0x94D049BB133111EBULL;
+      hash ^= hash >> 31;
+    }
+    std::size_t slot = hash & (capacity - 1);
+    for (; slots[slot] >= 0; slot = (slot + 1) & (capacity - 1)) {
+      const std::int64_t other = slots[slot];
+      if (!std::equal(index, index + order, x.index(other))) continue;
+      std::string coordinate;
+      for (std::int64_t n = 0; n < order; ++n) {
+        coordinate += (n == 0 ? "" : ", ") + std::to_string(index[n]);
+      }
+      throw std::invalid_argument(
+          context + ": tensor has duplicate coordinates (entries " +
+          std::to_string(other) + " and " + std::to_string(e) +
+          " share the 0-based coordinate (" + coordinate + "))");
+    }
+    slots[slot] = e;
+  }
 }
 
 }  // namespace ptucker

@@ -2,6 +2,7 @@
 #define PTUCKER_TENSOR_SPARSE_TENSOR_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/span.h"
@@ -103,6 +104,15 @@ class SparseTensor {
   std::vector<std::vector<std::int64_t>> slice_ptr_;
   std::vector<std::vector<std::int64_t>> slice_entries_;
 };
+
+/// The Ω contract at a solver boundary: every entry's coordinate is
+/// unique (COO would silently count a repeat twice in the loss). Throws
+/// std::invalid_argument "<context>: tensor has duplicate coordinates"
+/// naming the two entries and their shared 0-based coordinate. Hashes
+/// the full coordinate tuple, so it holds for any shape (no linearized
+/// key to overflow); O(nnz) expected time, 16–32 bytes per entry of
+/// scratch.
+void CheckUniqueCoordinates(const SparseTensor& x, const std::string& context);
 
 }  // namespace ptucker
 

@@ -1,6 +1,8 @@
 #include "core/ptucker.h"
 
 #include <cmath>
+#include <vector>
+#include <set>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -161,11 +163,13 @@ TEST(PTuckerTest, RowsWithoutObservationsAreZero) {
   // (the regularized minimizer) before orthogonalization.
   SparseTensor x({5, 4, 4});
   Rng rng(11);
-  for (int e = 0; e < 30; ++e) {
-    std::int64_t index[3] = {
+  std::set<std::vector<std::int64_t>> seen;  // Ω has no repeats
+  while (x.nnz() < 30) {
+    const std::vector<std::int64_t> index = {
         1 + static_cast<std::int64_t>(rng.UniformInt(4)),  // never 0
         static_cast<std::int64_t>(rng.UniformInt(4)),
         static_cast<std::int64_t>(rng.UniformInt(4))};
+    if (!seen.insert(index).second) continue;
     x.AddEntry(index, rng.Uniform());
   }
   x.BuildModeIndex();

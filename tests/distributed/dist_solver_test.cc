@@ -1,5 +1,9 @@
 #include "distributed/proc/dist_solver.h"
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/ptucker.h"
@@ -225,6 +229,21 @@ TEST(DistSolverTest, RejectsUnsupportedConfigurations) {
   bad.core_dims = {3, 2};  // wrong order
   EXPECT_THROW(DistributedPTuckerDecompose(x, bad, dist),
                std::invalid_argument);
+
+  // Ω is a set: a repeated coordinate is refused by name.
+  SparseTensor repeated = x;
+  const std::vector<std::int64_t> first(x.index(0), x.index(0) + x.order());
+  repeated.AddEntry(first, 1.0);
+  repeated.BuildModeIndex();
+  try {
+    DistributedPTuckerDecompose(repeated, options, dist);
+    FAIL() << "duplicate coordinates were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "distributed P-Tucker: tensor has duplicate coordinates"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 // scale equivariance, entry-order independence, mode-relabeling symmetry,
 // and golden error trajectories for fixed seeds.
 #include <cmath>
+#include <vector>
+#include <set>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -70,9 +74,12 @@ TEST(InvarianceTest, ModeRelabelingSymmetry) {
   // with swapped core dims).
   Rng rng(3);
   SparseTensor x({18, 11});
-  for (int e = 0; e < 120; ++e) {
-    std::int64_t index[2] = {static_cast<std::int64_t>(rng.UniformInt(18)),
-                             static_cast<std::int64_t>(rng.UniformInt(11))};
+  std::set<std::vector<std::int64_t>> seen;  // Ω has no repeats
+  while (x.nnz() < 120) {
+    const std::vector<std::int64_t> index = {
+        static_cast<std::int64_t>(rng.UniformInt(18)),
+        static_cast<std::int64_t>(rng.UniformInt(11))};
+    if (!seen.insert(index).second) continue;
     x.AddEntry(index, rng.Uniform());
   }
   x.BuildModeIndex();
@@ -121,26 +128,31 @@ TEST(InvarianceTest, SeedChangesInitButNotQualityClass) {
   EXPECT_NEAR(a.final_error, b.final_error, 0.2 * a.final_error);
 }
 
-TEST(InvarianceTest, DuplicateCoordinatesActAsRepeatedObservations) {
-  // COO allows repeated coordinates; the loss then counts the entry
-  // twice. A duplicated entry with the same value must pull the fit
-  // harder than a single one — verify no crash and a sane error.
+TEST(InvarianceTest, DuplicateCoordinatesAreRejected) {
+  // Ω is a set: a repeated coordinate would count its entry twice in the
+  // loss and in every δ sweep, so the solver refuses the tensor loudly
+  // instead of fitting it.
   SparseTensor x({8, 8});
-  Rng rng(6);
-  for (int e = 0; e < 40; ++e) {
-    std::int64_t index[2] = {static_cast<std::int64_t>(rng.UniformInt(8)),
-                             static_cast<std::int64_t>(rng.UniformInt(8))};
-    x.AddEntry(index, rng.Uniform());
+  for (std::int64_t e = 0; e < 8; ++e) {
+    const std::int64_t index[2] = {e, (3 * e) % 8};
+    x.AddEntry(index, 0.1 * static_cast<double>(e + 1));
   }
-  const std::int64_t dup[2] = {0, 0};
-  x.AddEntry(dup, 0.9);
+  const std::int64_t dup[2] = {2, 6};  // entry 2's coordinate again
   x.AddEntry(dup, 0.9);
   x.BuildModeIndex();
   PTuckerOptions options;
   options.core_dims = {2, 2};
   options.max_iterations = 6;
-  PTuckerResult result = PTuckerDecompose(x, options);
-  EXPECT_TRUE(std::isfinite(result.final_error));
+  try {
+    PTuckerDecompose(x, options);
+    FAIL() << "duplicate coordinates were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "P-Tucker: tensor has duplicate coordinates (entries 2 "
+                  "and 8 share the 0-based coordinate (2, 6))"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 class ToleranceSweep : public ::testing::TestWithParam<double> {};

@@ -2,6 +2,8 @@
 // (monotone convergence, SPD row systems, orthogonal invariance) must hold
 // for every shape/seed combination, not just hand-picked cases.
 #include <cmath>
+#include <vector>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -123,11 +125,13 @@ TEST(NumericalEdgeCases, ConstantValueTensor) {
   // exactly with rank 1.
   SparseTensor x({10, 10, 10});
   Rng rng(1);
-  for (int e = 0; e < 200; ++e) {
-    std::int64_t index[3] = {
+  std::set<std::vector<std::int64_t>> seen;  // Ω has no repeats
+  while (x.nnz() < 200) {
+    const std::vector<std::int64_t> index = {
         static_cast<std::int64_t>(rng.UniformInt(10)),
         static_cast<std::int64_t>(rng.UniformInt(10)),
         static_cast<std::int64_t>(rng.UniformInt(10))};
+    if (!seen.insert(index).second) continue;
     x.AddEntry(index, 0.5);
   }
   x.BuildModeIndex();
@@ -142,9 +146,12 @@ TEST(NumericalEdgeCases, ConstantValueTensor) {
 TEST(NumericalEdgeCases, TinyValuesStayFinite) {
   SparseTensor x({8, 8});
   Rng rng(2);
-  for (int e = 0; e < 40; ++e) {
-    std::int64_t index[2] = {static_cast<std::int64_t>(rng.UniformInt(8)),
-                             static_cast<std::int64_t>(rng.UniformInt(8))};
+  std::set<std::vector<std::int64_t>> seen;  // Ω has no repeats
+  while (x.nnz() < 40) {
+    const std::vector<std::int64_t> index = {
+        static_cast<std::int64_t>(rng.UniformInt(8)),
+        static_cast<std::int64_t>(rng.UniformInt(8))};
+    if (!seen.insert(index).second) continue;
     x.AddEntry(index, rng.Uniform() * 1e-15);
   }
   x.BuildModeIndex();

@@ -1,8 +1,7 @@
 // METRICS wire opcode (docs/observability.md): a live NetServer wired to
 // a private MetricsRegistry must serve Prometheus-style exposition text
-// over TCP that reflects the traffic it just handled — and the legacy
-// STATS counter vector must keep its exact shape alongside it
-// (kServerStatsFieldCount, the indexed table in docs/serving.md).
+// over TCP that reflects the traffic it just handled — every serving
+// count the server keeps.
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -13,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ptucker.h"
+#include "exposition_sample.h"
 #include "linalg/matrix.h"
 #include "obs/metrics.h"
 #include "serve/net/client.h"
@@ -37,24 +37,6 @@ TuckerFactorization MakeModel(const std::vector<std::int64_t>& dims,
   model.core = DenseTensor(ranks);
   model.core.FillUniform(rng);
   return model;
-}
-
-// First sample value for an exact metric name (skips _bucket/_sum lines
-// and the # HELP/# TYPE comments).
-bool FindSample(const std::string& exposition, const std::string& name,
-                long long* value) {
-  std::size_t pos = 0;
-  while (pos < exposition.size()) {
-    std::size_t end = exposition.find('\n', pos);
-    if (end == std::string::npos) end = exposition.size();
-    const std::string line = exposition.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.compare(0, name.size(), name) != 0) continue;
-    if (line.size() <= name.size() || line[name.size()] != ' ') continue;
-    *value = std::stoll(line.substr(name.size() + 1));
-    return true;
-  }
-  return false;
 }
 
 TEST(ServeNetMetricsOpcodeTest, MetricsReflectServedTrafficOverTcp) {
@@ -108,12 +90,8 @@ TEST(ServeNetMetricsOpcodeTest, MetricsReflectServedTrafficOverTcp) {
   EXPECT_GE(value, 1);
   EXPECT_NE(text.find("ptucker_serve_queue_depth"), std::string::npos);
   EXPECT_NE(text.find("ptucker_serve_shed_total"), std::string::npos);
-
-  // Legacy STATS rides alongside, shape pinned to the field table.
-  const std::vector<std::uint64_t> counters = client.Stats();
-  ASSERT_EQ(counters.size(),
-            static_cast<std::size_t>(kServerStatsFieldCount));
-  EXPECT_GE(counters[2], 20u);  // predicts_served
+  ASSERT_TRUE(FindSample(text, "ptucker_serve_predicts_total", &value));
+  EXPECT_GE(value, 20);
 
   server.Stop();
 }

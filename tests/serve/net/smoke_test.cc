@@ -1,6 +1,6 @@
 // serve_net smoke: an in-process NetServer on an ephemeral port driven
 // over real TCP sockets by NetClient. Covers the full opcode surface
-// (predict / top-K / ping / stats) with replies compared EXPECT_EQ
+// (predict / top-K / ping / metrics) with replies compared EXPECT_EQ
 // against direct PredictionService calls, bad-request handling on a
 // surviving connection, loud rejection-then-close for unrecoverable
 // framing garbage, clean shutdown with clients attached, and the
@@ -20,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include "core/ptucker.h"
+#include "exposition_sample.h"
 #include "linalg/matrix.h"
+#include "obs/metrics.h"
 #include "serve/net/client.h"
 #include "serve/service.h"
 #include "tensor/dense_tensor.h"
@@ -79,6 +81,8 @@ TEST_F(ServeNetSmokeTest, FullOpcodeSurfaceOverRealSockets) {
   options.listen_threads = 2;
   options.worker_threads = 2;
   options.batch_window_us = 0;  // sequential client: don't add latency
+  obs::MetricsRegistry registry;
+  options.metrics_registry = &registry;
   NetServer server(service_, options);
   server.Start();
   ASSERT_GT(server.port(), 0);
@@ -105,15 +109,21 @@ TEST_F(ServeNetSmokeTest, FullOpcodeSurfaceOverRealSockets) {
   EXPECT_EQ(client.TopK(2, 1000, probe).size(),
             static_cast<std::size_t>(dims_[2]));
 
-  const std::vector<std::uint64_t> counters = client.Stats();
-  ASSERT_EQ(counters.size(), 10u);  // ServerStats::ToVector order
-  EXPECT_GE(counters[0], 1u);       // connections_accepted
-  EXPECT_GE(counters[1], 55u);      // requests_received
-  EXPECT_GE(counters[2], 50u);      // predicts_served
-  EXPECT_GE(counters[3], 4u);       // topks_served
-  EXPECT_GE(counters[4], 1u);       // pings_served
-  EXPECT_GE(counters[6], 1u);       // batches_executed
-  EXPECT_EQ(counters[9], 0u);       // overloads_shed: nothing parked here
+  // Every serving count is in the METRICS scrape. Each reply's count is
+  // recorded before the reply is posted, so no polling is needed.
+  const std::string metrics = client.Metrics();
+  const auto sample = [&metrics](const char* name) {
+    long long value = -1;
+    EXPECT_TRUE(FindSample(metrics, name, &value)) << name;
+    return value;
+  };
+  EXPECT_GE(sample("ptucker_serve_connections_total"), 1);
+  EXPECT_GE(sample("ptucker_serve_requests_total"), 55);
+  EXPECT_GE(sample("ptucker_serve_predicts_total"), 50);
+  EXPECT_GE(sample("ptucker_serve_topks_total"), 4);
+  EXPECT_GE(sample("ptucker_serve_pings_total"), 1);
+  EXPECT_GE(sample("ptucker_serve_batch_size_count"), 1);
+  EXPECT_EQ(sample("ptucker_serve_shed_total"), 0);  // nothing parked here
 
   server.Stop();
 }
@@ -121,6 +131,8 @@ TEST_F(ServeNetSmokeTest, FullOpcodeSurfaceOverRealSockets) {
 TEST_F(ServeNetSmokeTest, BadRequestsAnsweredOnASurvivingConnection) {
   NetServerOptions options;
   options.batch_window_us = 0;
+  obs::MetricsRegistry registry;
+  options.metrics_registry = &registry;
   NetServer server(service_, options);
   server.Start();
   NetClient client("127.0.0.1", server.port());
@@ -146,7 +158,10 @@ TEST_F(ServeNetSmokeTest, BadRequestsAnsweredOnASurvivingConnection) {
 
   // The same socket still serves good traffic after all five rejections.
   EXPECT_EQ(client.Predict({5, 5, 5}), service_->Predict({5, 5, 5}));
-  EXPECT_GE(server.stats().errors_sent.load(), 5u);
+  long long errors = 0;
+  ASSERT_TRUE(
+      FindSample(client.Metrics(), "ptucker_serve_errors_total", &errors));
+  EXPECT_GE(errors, 5);
   server.Stop();
 }
 
@@ -175,6 +190,11 @@ TEST_F(ServeNetSmokeTest, FramingGarbageGetsErrorReplyThenClose) {
     std::vector<std::uint8_t> frame = EncodePredictRequest(9, {1, 2, 3});
     frame[19] = 0xFF;  // payload length far beyond kMaxWirePayload
     cases.push_back({"oversized payload", frame});
+  }
+  {
+    // Opcode 4 was STATS; it is retired and answered like any unknown
+    // opcode.
+    cases.push_back({"retired STATS opcode", EncodeEmptyFrame(Opcode{4}, 9)});
   }
   {
     std::vector<std::uint8_t> frame = EncodePredictRequest(9, {1, 2, 3});

@@ -66,6 +66,14 @@ if(NOT predict_out MATCHES "25 20 15 [-0-9.]+")
   message(FATAL_ERROR "missing/unparseable prediction line in:\n${predict_out}")
 endif()
 
+# 3b. Query files are not Ω: a repeated coordinate is answered twice.
+file(WRITE ${queries_path} "1 1 1 0\n1 1 1 0\n2 2 2 0\n")
+run(predict_out 0 predict --load-model ${model_path}
+    --queries ${queries_path})
+if(NOT predict_out MATCHES "3 predictions")
+  message(FATAL_ERROR "repeated query coordinates refused:\n${predict_out}")
+endif()
+
 # 4. Top-K recommendation along mode 2.
 run(topk_out 0 topk --load-model ${model_path} --mode 2 --index 3,1,5 --k 3)
 if(NOT topk_out MATCHES "top-3 along mode 2")

@@ -337,6 +337,25 @@ TEST(IngestPipelineTest, StrictMutationSemantics) {
   EXPECT_EQ(pipeline.tensor().nnz(), initial.nnz());
 }
 
+TEST(IngestPipelineTest, DuplicateCoordinatesRejectedAtEveryEntry) {
+  SparseTensor initial = MakeInitial(43);
+  const TuckerFactorization model = MakeModel(initial, 44);
+  const std::vector<std::int64_t> repeat(initial.index(0),
+                                         initial.index(0) + initial.order());
+  initial.AddEntry(repeat, 0.5);
+  try {
+    ReplayOmega(initial, {}, 0);
+    FAIL() << "ReplayOmega accepted duplicate coordinates";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "replay: tensor has duplicate coordinates"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(IngestPipeline(initial, model, IngestOptions()),
+               std::invalid_argument);
+}
+
 TEST(IngestPipelineTest, CheckpointPublishesHotSwappedSnapshot) {
   const SparseTensor initial = MakeInitial(51);
   const TuckerFactorization model = MakeModel(initial, 52);

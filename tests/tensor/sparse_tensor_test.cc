@@ -3,6 +3,8 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -168,6 +170,42 @@ TEST(SparseTensorTest, AdoptingConstructorChecksItsInput) {
                std::runtime_error);
   EXPECT_THROW(SparseTensor({2, 3}, {0, 2, -1, 0}, {1.5, -2.0}),
                std::runtime_error);
+}
+
+TEST(SparseTensorTest, CheckUniqueCoordinatesNamesTheRepeat) {
+  SparseTensor t = MakeSmall();
+  EXPECT_NO_THROW(CheckUniqueCoordinates(t, "test"));
+  EXPECT_NO_THROW(CheckUniqueCoordinates(SparseTensor({2, 3}), "test"));
+  const std::vector<std::int64_t> repeat(t.index(1), t.index(1) + t.order());
+  t.AddEntry(repeat, 9.0);
+  try {
+    CheckUniqueCoordinates(t, "test");
+    FAIL() << "duplicate coordinates were accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string want =
+        "test: tensor has duplicate coordinates (entries 1 and " +
+        std::to_string(t.nnz() - 1) + " share the 0-based coordinate";
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SparseTensorTest, CheckUniqueCoordinatesHoldsPastInt64Linearization) {
+  // Ten modes of 2^40: a linearized key would need 400 bits. Entries that
+  // agree on every coordinate but one are still told apart, and a true
+  // repeat is still found.
+  const std::int64_t wide = std::int64_t{1} << 40;
+  SparseTensor t(std::vector<std::int64_t>(10, wide));
+  std::vector<std::int64_t> index(10, wide - 1);
+  for (std::int64_t n = 0; n < 10; ++n) {
+    index[static_cast<std::size_t>(n)] = n;
+    t.AddEntry(index, 1.0);
+    index[static_cast<std::size_t>(n)] = wide - 1;
+  }
+  EXPECT_NO_THROW(CheckUniqueCoordinates(t, "wide"));
+  index[3] = 3;
+  t.AddEntry(index, 2.0);
+  EXPECT_THROW(CheckUniqueCoordinates(t, "wide"), std::invalid_argument);
 }
 
 TEST(SparseTensorDeathTest, RemoveEntriesFlagCountMustMatchNnz) {

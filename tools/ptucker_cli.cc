@@ -711,13 +711,16 @@ int RunServe(const CliConfig& config) {
     log_stop.store(true, std::memory_order_relaxed);
     if (logger.joinable()) logger.join();
     server.Stop();
-    const std::vector<std::uint64_t> counters = server.stats().ToVector();
+    const ServeNetMetrics& metrics = server.metrics();
     std::printf("stopped after %llds: %llu connections, %llu requests, "
                 "%llu batches\n",
                 static_cast<long long>(config.serve_seconds),
-                static_cast<unsigned long long>(counters[0]),
-                static_cast<unsigned long long>(counters[1]),
-                static_cast<unsigned long long>(counters[6]));
+                static_cast<unsigned long long>(
+                    metrics.connections_total->Value()),
+                static_cast<unsigned long long>(
+                    metrics.requests_total->Value()),
+                static_cast<unsigned long long>(
+                    metrics.batch_size->Snapshot().count));
     return 0;
   }
   while (true) {
@@ -993,6 +996,9 @@ int Run(const CliConfig& config) {
   } else {
     if (config.input.empty()) Fail("--input is required");
     x = ReadTns(config.input);
+    // The training tensor is Ω for every --method, and the baselines have
+    // no Ω check of their own; query files (predict) may repeat.
+    CheckUniqueCoordinates(x, "--input " + config.input);
     x.BuildModeIndex();
   }
 
